@@ -26,6 +26,9 @@ type Prepared struct {
 	pol  core.SolvePolicy
 	cfg  config
 	dim  int
+	// version is the epoch of the index snapshot the Prepared is pinned
+	// to, copied onto every Result; zero for a Prepare-d dataset.
+	version uint64
 }
 
 // Prepare validates the dataset once and fixes the solver configuration for
@@ -63,7 +66,7 @@ func (p *Prepared) Solve(ctx context.Context, q Query) (Result, error) {
 	cq := q.toCore()
 	start := time.Now()
 	r, st, deg, err := p.pol.Solve(p.cfg.obsContext(ctx), p.prep, cq, -1)
-	res := Result{Stats: st, Elapsed: time.Since(start), Degraded: deg}
+	res := Result{Stats: st, Elapsed: time.Since(start), Degraded: deg, Version: p.version}
 	res.Tier = tierFor(p.cfg, p.dim, deg)
 	if reg := p.cfg.metrics; reg != nil {
 		reg.Counter("rrq.solves").Inc()
@@ -118,7 +121,7 @@ func (p *Prepared) solveAnytime(ctx context.Context, q Query, warm []*geom.Cell,
 	cq := q.toCore()
 	start := time.Now()
 	r, st, acc, err := core.APCAnytimeContext(p.cfg.obsContext(ctx), p.prep.PointsFor(cq.K), cq, anytimeOptions(p.cfg, warm))
-	res := Result{Stats: st, Elapsed: time.Since(start), Tier: TierAnytime}
+	res := Result{Stats: st, Elapsed: time.Since(start), Tier: TierAnytime, Version: p.version}
 	if reg := p.cfg.metrics; reg != nil {
 		reg.Counter("rrq.solves").Inc()
 		if err != nil {
@@ -250,6 +253,7 @@ func (p *Prepared) SolveBatch(ctx context.Context, queries []Query) *BatchReport
 		br.Elapsed = o.Elapsed
 		br.Degraded = o.Degraded
 		br.Tier = tierFor(p.cfg, p.dim, o.Degraded)
+		br.Version = p.version
 		rep.QueryTime += o.Elapsed
 		if o.Dedup {
 			rep.Deduped++

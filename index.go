@@ -233,7 +233,7 @@ func (ix *Index) preparedOn(snap *index.Snapshot, cfg config) (*Prepared, error)
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{prep: snap.Prepared(cfg.metrics), pol: pol, cfg: cfg, dim: ix.dim}, nil
+	return &Prepared{prep: snap.Prepared(cfg.metrics), pol: pol, cfg: cfg, dim: ix.dim, version: snap.Version()}, nil
 }
 
 // Solve answers one query on the current snapshot — the plain form of
@@ -303,6 +303,7 @@ func (ix *Index) cachedSolve(ctx context.Context, cfg config, snap *index.Snapsh
 				Stats:   Stats{Pieces: r.NumPieces()},
 				Elapsed: time.Since(start),
 				Cache:   CacheHit,
+				Version: version,
 			}), nil
 		}
 		if cfg.cacheBounds {
@@ -311,6 +312,7 @@ func (ix *Index) cachedSolve(ctx context.Context, cfg config, snap *index.Snapsh
 					Region:  &Region{inner: ans.Region, q: ans.From},
 					Stats:   Stats{Pieces: ans.Region.NumPieces()},
 					Elapsed: time.Since(start),
+					Version: version,
 				}
 				if ans.Kind == cache.Exact {
 					// Same (k, ε) under a different serving path: the region
@@ -381,6 +383,7 @@ func (ix *Index) anytimeSolve(ctx context.Context, cfg config, snap *index.Snaps
 					Elapsed: time.Since(start),
 					Cache:   CacheHit,
 					Tier:    TierExact,
+					Version: version,
 				}), nil
 			case cache.Inner:
 				// Sound seed: the cached region is contained in this query's
@@ -454,12 +457,13 @@ func (ix *Index) treeSolve(ctx context.Context, cfg config, q Query) (Result, bo
 		}
 	}
 	if err != nil {
-		return Result{Elapsed: elapsed}, true, err
+		return Result{Elapsed: elapsed, Version: snap.Version()}, true, err
 	}
 	return Result{
 		Region:  &Region{inner: r, q: cq},
 		Stats:   Stats{Pieces: r.NumPieces()},
 		Elapsed: elapsed,
+		Version: snap.Version(),
 	}, true, nil
 }
 

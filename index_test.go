@@ -209,3 +209,62 @@ func TestIndexSolveBatchAndMetrics(t *testing.T) {
 		}
 	}
 }
+
+// Every index serving path labels its Result with the epoch of the
+// snapshot it answered on; solves outside an index carry version 0.
+func TestResultVersionPerServingPath(t *testing.T) {
+	ds, q := indexTestInstance(t, 3, 300)
+	ix, err := BuildIndex(ds, WithResultCache(16), WithCacheBounds(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := BuildIndex(ds, WithRankTreeServing(true), WithKmax(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []*Index{ix, tree} {
+		if _, err := x.Insert(Point{0.5, 0.5, 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	looser := q
+	looser.K, looser.Epsilon = q.K+1, q.Epsilon+0.05
+	paths := []struct {
+		name string
+		ix   *Index
+		q    Query
+		opts []Option
+	}{
+		{"miss", ix, q, nil},
+		{"hit", ix, q, nil},
+		{"bound", ix, looser, nil},
+		{"anytime", ix, Query{Q: q.Q, K: q.K + 2, Epsilon: q.Epsilon}, []Option{WithAnytimeSamples(20)}},
+		{"tree", tree, q, nil},
+	}
+	for _, p := range paths {
+		res, err := p.ix.SolveContext(ctx, p.q, p.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Version != 2 {
+			t.Errorf("%s (cache %v): Version %d, want 2", p.name, res.Cache, res.Version)
+		}
+	}
+	rep, err := ix.SolveBatch(ctx, []Query{q, looser})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rep.Results {
+		if r.Err != nil || r.Version != 2 {
+			t.Errorf("batch slot %d: Version %d (err %v), want 2", i, r.Version, r.Err)
+		}
+	}
+	res, err := SolveContext(ctx, ds, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Version != 0 {
+		t.Errorf("dataset solve: Version %d, want 0", res.Version)
+	}
+}

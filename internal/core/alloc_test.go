@@ -80,6 +80,38 @@ func TestSweepIntervalsZeroAlloc(t *testing.T) {
 	}
 }
 
+// Response encoding appends each region into a reused buffer; once the
+// buffer has grown to the region's size, encoding must not allocate.
+func TestRegionAppendJSONZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	pts, q := randomInstance(rng, 60, 4)
+	q.Q, q.K = vec.Of(0.9, 0.85, 0.3, 0.4), 3
+	cells, err := EPT(pts, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts2, _ := randomInstance(rng, 300, 2)
+	intervals, err := Sweeping(pts2, Query{Q: vec.Of(0.9, 0.85), K: 3, Eps: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells.Cells()) < 2 || len(intervals.intervals) == 0 {
+		t.Fatalf("%d cells, %d intervals; test is vacuous", len(cells.Cells()), len(intervals.intervals))
+	}
+	for name, r := range map[string]*Region{"cells": cells, "intervals": intervals} {
+		buf, err := r.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			buf, _ = r.AppendJSON(buf[:0])
+		})
+		if allocs != 0 {
+			t.Errorf("%s: AppendJSON allocates %.1f per run into a warm buffer, want 0", name, allocs)
+		}
+	}
+}
+
 // benchBatch measures one full cold batch — Prepare plus all solves, the
 // one-shot SolveBatch workload — over a query set with the structure the
 // sharing layer targets: a few query points, each asked at a range of

@@ -2,14 +2,19 @@ package core
 
 import (
 	"encoding/json"
+	"math"
+	"reflect"
+	"strconv"
 
 	"rrq/internal/geom"
+	"rrq/internal/vec"
 )
 
 // regionJSON is the wire form of a Region: either intervals (d = 2 sweep
 // results) or cells described by their half-space constraints. Vertices are
 // included for convenience (plotting, debugging); membership can be decided
-// from the constraints alone.
+// from the constraints alone. AppendJSON writes this form directly;
+// UnmarshalJSON reads it back.
 type regionJSON struct {
 	Dim       int          `json:"dim"`
 	Intervals [][2]float64 `json:"intervals,omitempty"`
@@ -30,30 +35,113 @@ type constraintJSON struct {
 // consumer can test membership of a utility vector u by checking
 // sign·(u·normal) ≥ 0 for every constraint of some cell (or locating u[0]
 // in an interval for 2-d sweep output).
-func (r *Region) MarshalJSON() ([]byte, error) {
-	out := regionJSON{Dim: r.dim, Intervals: r.intervals}
+func (r *Region) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil) }
+
+// AppendJSON appends the MarshalJSON encoding of the region to b in one
+// pass and returns the extended buffer. The bytes are those encoding/json
+// produces for the wire form — field order, omitted empty fields and its
+// float format (shortest 'f' digits, 'e' below 1e-6 and from 1e21 up, with
+// a one-digit negative exponent written e-7, not e-07). Cells are walked
+// in place, without cloning constraints or vertices. A NaN or ±Inf
+// coordinate fails with the *json.UnsupportedValueError json.Marshal
+// reports, and b is returned unextended.
+func (r *Region) AppendJSON(b []byte) ([]byte, error) {
+	start := len(b)
+	w := jsonWriter{b: b}
+	w.b = append(w.b, `{"dim":`...)
+	w.b = strconv.AppendInt(w.b, int64(r.dim), 10)
+	if len(r.intervals) > 0 {
+		w.b = append(w.b, `,"intervals":[`...)
+		for i := range r.intervals {
+			w.sep(i)
+			w.floats(r.intervals[i][:])
+		}
+		w.b = append(w.b, ']')
+	}
 	if len(r.cells) > 0 {
-		out.Cells = make([]cellJSON, 0, len(r.cells))
+		w.b = append(w.b, `,"cells":[`...)
+		for i, c := range r.cells {
+			w.sep(i)
+			w.b = append(w.b, `{"constraints":[`...)
+			w.n = 0
+			c.VisitConstraints(w.constraint)
+			w.b = append(w.b, `],"vertices":[`...)
+			w.n = 0
+			c.VisitVertices(w.vertex)
+			w.b = append(w.b, "]}"...)
+		}
+		w.b = append(w.b, ']')
 	}
-	for _, c := range r.cells {
-		// NumConstraints/NumVertices size the slices exactly without
-		// materializing the constraint list twice.
-		cj := cellJSON{
-			Constraints: make([]constraintJSON, 0, c.NumConstraints()),
-			Vertices:    make([][]float64, 0, c.NumVertices()),
-		}
-		for _, con := range c.Constraints() {
-			cj.Constraints = append(cj.Constraints, constraintJSON{
-				Normal: con.H.Normal,
-				Sign:   con.Sign,
-			})
-		}
-		for _, v := range c.Vertices() {
-			cj.Vertices = append(cj.Vertices, v)
-		}
-		out.Cells = append(out.Cells, cj)
+	if w.err != nil {
+		return w.b[:start], w.err
 	}
-	return json.Marshal(out)
+	return append(w.b, '}'), nil
+}
+
+// jsonWriter is the state of one AppendJSON call. n counts the elements
+// already written into the innermost open array; err keeps the first
+// non-finite value met (encoding runs on past it and is then discarded).
+type jsonWriter struct {
+	b   []byte
+	n   int
+	err error
+}
+
+// sep writes the comma that precedes array element i.
+func (w *jsonWriter) sep(i int) {
+	if i > 0 {
+		w.b = append(w.b, ',')
+	}
+}
+
+func (w *jsonWriter) constraint(con geom.Constraint) {
+	w.sep(w.n)
+	w.n++
+	w.b = append(w.b, `{"normal":`...)
+	w.floats(con.H.Normal)
+	w.b = append(w.b, `,"sign":`...)
+	w.b = strconv.AppendInt(w.b, int64(con.Sign), 10)
+	w.b = append(w.b, '}')
+}
+
+func (w *jsonWriter) vertex(v vec.Vec) {
+	w.sep(w.n)
+	w.n++
+	w.floats(v)
+}
+
+// floats writes xs as a JSON array of numbers.
+func (w *jsonWriter) floats(xs []float64) {
+	w.b = append(w.b, '[')
+	for i, x := range xs {
+		w.sep(i)
+		if w.err == nil && (math.IsNaN(x) || math.IsInf(x, 0)) {
+			w.err = &json.UnsupportedValueError{Value: reflect.ValueOf(x), Str: strconv.FormatFloat(x, 'g', -1, 64)}
+		}
+		w.b = appendFloat(w.b, x)
+	}
+	w.b = append(w.b, ']')
+}
+
+// appendFloat appends f exactly as encoding/json formats a finite float64
+// (ES6 number-to-string); floats rejects the non-finite values first.
+func appendFloat(b []byte, f float64) []byte {
+	abs := math.Abs(f)
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-07 → e-7. Every 'e' result is at least four bytes long, so the
+		// test never reaches into bytes before f.
+		n := len(b)
+		if b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // UnmarshalJSON decodes a region previously produced by MarshalJSON. Cells

@@ -1,12 +1,225 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
+	"rrq/internal/diffcheck/corpus"
+	"rrq/internal/geom"
 	"rrq/internal/vec"
 )
+
+// referenceJSON is the reflection encoder AppendJSON replaced: it builds
+// the wire structs, cloning every constraint and vertex, and runs
+// json.Marshal. AppendJSON must reproduce its bytes and its errors.
+func referenceJSON(r *Region) ([]byte, error) {
+	out := regionJSON{Dim: r.dim, Intervals: r.intervals}
+	if len(r.cells) > 0 {
+		out.Cells = make([]cellJSON, 0, len(r.cells))
+	}
+	for _, c := range r.cells {
+		cj := cellJSON{
+			Constraints: make([]constraintJSON, 0, c.NumConstraints()),
+			Vertices:    make([][]float64, 0, c.NumVertices()),
+		}
+		for _, con := range c.Constraints() {
+			cj.Constraints = append(cj.Constraints, constraintJSON{Normal: con.H.Normal, Sign: con.Sign})
+		}
+		for _, v := range c.Vertices() {
+			cj.Vertices = append(cj.Vertices, v)
+		}
+		out.Cells = append(out.Cells, cj)
+	}
+	return json.Marshal(out)
+}
+
+// checkJSONMatchesReference asserts that AppendJSON, appending after a
+// prefix, and MarshalJSON both reproduce referenceJSON byte for byte, or
+// fail with the same error and leave the prefix unextended.
+func checkJSONMatchesReference(t *testing.T, name string, r *Region) {
+	t.Helper()
+	want, wantErr := referenceJSON(r)
+	prefix := []byte(`{"prefix":`)
+	got, err := r.AppendJSON(append([]byte(nil), prefix...))
+	if wantErr != nil {
+		var uve *json.UnsupportedValueError
+		if !errors.As(err, &uve) || err.Error() != wantErr.Error() {
+			t.Fatalf("%s: AppendJSON error %v, want %v", name, err, wantErr)
+		}
+		if !bytes.Equal(got, prefix) {
+			t.Fatalf("%s: failed AppendJSON extended the buffer to %q", name, got)
+		}
+		if _, err := r.MarshalJSON(); err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("%s: MarshalJSON error %v, want %v", name, err, wantErr)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%s: AppendJSON failed where json.Marshal succeeded: %v", name, err)
+	}
+	if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("%s: AppendJSON differs from the reference encoder:\n got %s\nwant %s", name, got[len(prefix):], want)
+	}
+	if m, err := r.MarshalJSON(); err != nil || !bytes.Equal(m, want) {
+		t.Fatalf("%s: MarshalJSON differs from the reference encoder (err %v)", name, err)
+	}
+}
+
+// solvedRegions answers one corpus instance with E-PT, A-PC and, in 2-d,
+// Sweeping; solvers that reject the instance are skipped.
+func solvedRegions(ins corpus.Instance) map[string]*Region {
+	q := Query{Q: ins.Q, K: ins.K, Eps: ins.Eps}
+	out := map[string]*Region{}
+	if r, err := EPT(ins.Pts, q); err == nil {
+		out["ept"] = r
+	}
+	if r, err := APC(ins.Pts, q, APCOptions{Samples: 40, Seed: 3}); err == nil {
+		out["apc"] = r
+	}
+	if q.Q.Dim() == 2 {
+		if r, err := Sweeping(ins.Pts, q); err == nil {
+			out["sweeping"] = r
+		}
+	}
+	return out
+}
+
+func TestAppendJSONMatchesReferenceCorpus(t *testing.T) {
+	cellRegions, intervalRegions := 0, 0
+	for fam := byte(0); fam < corpus.NumFamilies; fam++ {
+		for d := 2; d <= 6; d++ {
+			for seed := int64(0); seed < 3; seed++ {
+				data := corpus.Encode(fam, d, 6+int(seed), 1+int(seed), int(fam)+int(seed), seed*7919+int64(d))
+				ins, _ := corpus.DecodeDim(data, d)
+				for solver, r := range solvedRegions(ins) {
+					checkJSONMatchesReference(t, corpus.FamilyName(fam)+"/"+solver, r)
+					if len(r.cells) > 0 {
+						cellRegions++
+					}
+					if len(r.intervals) > 0 {
+						intervalRegions++
+					}
+				}
+			}
+		}
+	}
+	// Larger random instances give cells with long constraint chains.
+	rng := rand.New(rand.NewSource(5))
+	for d := 3; d <= 5; d++ {
+		for i := 0; i < 4; i++ {
+			pts, q := randomInstance(rng, 40, d)
+			r, err := EPT(pts, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkJSONMatchesReference(t, "random/ept", r)
+			if len(r.cells) > 0 {
+				cellRegions++
+			}
+		}
+	}
+	if cellRegions < 100 || intervalRegions < 10 {
+		t.Fatalf("only %d cell and %d interval regions were non-empty; test is vacuous", cellRegions, intervalRegions)
+	}
+}
+
+func TestAppendJSONMatchesReferenceEmpty(t *testing.T) {
+	for d := 2; d <= 6; d++ {
+		checkJSONMatchesReference(t, "empty", EmptyRegion(d))
+		checkJSONMatchesReference(t, "no cells", NewCellRegion(d, []*geom.Cell{}))
+	}
+	checkJSONMatchesReference(t, "no intervals", NewIntervalRegion([][2]float64{}))
+}
+
+// specialNormal holds the values whose float formatting is easiest to get
+// wrong: the 'e' switch at 1e-6 and 1e21, the e-07 → e-7 cleanup, the
+// smallest subnormal and negative zero.
+func specialNormal() vec.Vec {
+	return vec.Of(1e-7, 5e-324, math.Copysign(0, -1), 1e20, -1e21)
+}
+
+// specialCell splits the 5-d simplex by a plane with specialNormal as its
+// stored normal, so the cell's one constraint carries those exact values.
+// Split classifies the simplex vertices by that normal alone: they fall on
+// both sides of it.
+func specialCell(t *testing.T) (*geom.Cell, vec.Vec) {
+	t.Helper()
+	h := geom.NewHyperplane(vec.Of(1, 1, 1, 1, -1), 0)
+	h.Normal = specialNormal()
+	_, c := geom.NewSimplex(5).Split(h)
+	if c == nil || c.NumConstraints() != 1 {
+		t.Fatal("special plane did not cut the simplex")
+	}
+	return c, h.Normal
+}
+
+func TestAppendJSONMatchesReferenceSpecialFloats(t *testing.T) {
+	c, _ := specialCell(t)
+	checkJSONMatchesReference(t, "special cell", NewCellRegion(5, []*geom.Cell{c}))
+	ivs := [][2]float64{
+		{1e-7, 5e-324}, {math.Copysign(0, -1), 1e20}, {1e21, -1e-7},
+		{1e-6, 9.99999e-7}, {123456789.125, 1.5e-10}, {math.MaxFloat64, -math.SmallestNonzeroFloat64},
+	}
+	r := NewIntervalRegion(ivs)
+	checkJSONMatchesReference(t, "special intervals", r)
+	got, _ := r.MarshalJSON()
+	want := `{"dim":2,"intervals":[[1e-7,5e-324],[-0,100000000000000000000],[1e+21,-1e-7],` +
+		`[0.000001,9.99999e-7],[123456789.125,1.5e-10],[1.7976931348623157e+308,-5e-324]]}`
+	if string(got) != want {
+		t.Fatalf("special intervals encode as\n%s\nwant\n%s", got, want)
+	}
+}
+
+func TestAppendJSONRejectsNonFinite(t *testing.T) {
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		checkJSONMatchesReference(t, "interval", NewIntervalRegion([][2]float64{{0.1, 0.2}, {0.3, x}}))
+		// The stored normal aliases the plane's, so poisoning it after the
+		// cut reaches the cell's constraint without changing its geometry.
+		c, normal := specialCell(t)
+		normal[2] = x
+		checkJSONMatchesReference(t, "constraint", NewCellRegion(5, []*geom.Cell{c}))
+		if _, err := NewCellRegion(5, []*geom.Cell{c}).AppendJSON(nil); err == nil {
+			t.Fatalf("constraint holding %v encoded without error", x)
+		}
+	}
+}
+
+// FuzzRegionJSONMatchesReference checks AppendJSON against the reflection
+// encoder on corpus-decoded instances of any dimension, plus an interval
+// region whose endpoints are the input's trailing bytes read as float64
+// bit patterns — NaN, ±Inf and subnormals included.
+func FuzzRegionJSONMatchesReference(f *testing.F) {
+	for _, seed := range corpus.Seeds() {
+		f.Add(seed)
+	}
+	special := corpus.Encode(corpus.FamRandom, 3, 8, 2, 1, 11)
+	for _, x := range append(specialNormal(), 1e21, 1e-6, math.NaN(), math.Inf(-1)) {
+		special = binary.LittleEndian.AppendUint64(special, math.Float64bits(x))
+	}
+	f.Add(special)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ins, ok := corpus.Decode(data)
+		if !ok {
+			return
+		}
+		for solver, r := range solvedRegions(ins) {
+			checkJSONMatchesReference(t, ins.Family+"/"+solver, r)
+		}
+		var ivs [][2]float64
+		for rest := data[corpus.EncodedLen:]; len(rest) >= 16; rest = rest[16:] {
+			ivs = append(ivs, [2]float64{
+				math.Float64frombits(binary.LittleEndian.Uint64(rest)),
+				math.Float64frombits(binary.LittleEndian.Uint64(rest[8:])),
+			})
+		}
+		checkJSONMatchesReference(t, "bit-pattern intervals", NewIntervalRegion(ivs))
+	})
+}
 
 func TestRegionJSONRoundTripIntervals(t *testing.T) {
 	pts := table3()

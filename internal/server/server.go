@@ -191,24 +191,24 @@ type accuracyNote struct {
 	VolumeEst   float64 `json:"volume_est"`
 }
 
-// solveResponse is the /v1/solve success body. Cache is the CacheStatus
-// string ("bypass", "miss", "hit", "inner-bound", "outer-bound"); for
-// bound-served answers CacheSource names the cached query whose region is
-// returned, and the region bounds — rather than equals — the true answer.
-// Tier ("exact", "approx", "anytime" — also the X-RRQ-Tier header)
-// classifies the serving contract; anytime answers additionally carry
-// Accuracy.
+// solveResponse is the /v1/solve success body without its last field,
+// "region", which writeSolve appends after these. Version is the epoch the
+// answer was solved on. Cache is the CacheStatus string ("bypass", "miss",
+// "hit", "inner-bound", "outer-bound"); for bound-served answers
+// CacheSource names the cached query whose region is returned, and the
+// region bounds — rather than equals — the true answer. Tier ("exact",
+// "approx", "anytime" — also the X-RRQ-Tier header) classifies the serving
+// contract; anytime answers additionally carry Accuracy.
 type solveResponse struct {
-	Version     uint64          `json:"version"`
-	Partitions  int             `json:"partitions"`
-	ElapsedMS   float64         `json:"elapsed_ms"`
-	Cache       string          `json:"cache"`
-	Tier        string          `json:"tier"`
-	Accuracy    *accuracyNote   `json:"accuracy,omitempty"`
-	CacheSource *querySpec      `json:"cache_source,omitempty"`
-	Degraded    *degradedNote   `json:"degraded,omitempty"`
-	Deduped     bool            `json:"deduped,omitempty"`
-	Region      json.RawMessage `json:"region"`
+	Version     uint64        `json:"version"`
+	Partitions  int           `json:"partitions"`
+	ElapsedMS   float64       `json:"elapsed_ms"`
+	Cache       string        `json:"cache"`
+	Tier        string        `json:"tier"`
+	Accuracy    *accuracyNote `json:"accuracy,omitempty"`
+	CacheSource *querySpec    `json:"cache_source,omitempty"`
+	Degraded    *degradedNote `json:"degraded,omitempty"`
+	Deduped     bool          `json:"deduped,omitempty"`
 }
 
 // errorResponse is every non-2xx body: the message, a stable kind for
@@ -333,7 +333,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 				s.cfg.Tenants.Charge(tenant, WorkUnits(res.Stats), s.cfg.Now())
-				s.writeSolve(w, ix.Version(), res, false)
+				s.writeSolve(w, res, false)
 				return
 			}
 			s.counter("server.shed")
@@ -366,25 +366,26 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		// is charged; coalesced followers consumed no solver work.
 		s.cfg.Tenants.Charge(tenant, WorkUnits(res.Stats), s.cfg.Now())
 	}
-	s.writeSolve(w, ix.Version(), res, shared)
+	s.writeSolve(w, res, shared)
 }
 
+// respBufs recycles /v1/solve body buffers: a response is encoded whole
+// into one buffer and written with a single Write.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // writeSolve emits the success body (and the X-RRQ-Tier header) for one
-// solve result.
-func (s *Server) writeSolve(w http.ResponseWriter, version uint64, res rrq.Result, shared bool) {
-	region, err := res.Region.MarshalJSON()
-	if err != nil {
-		writeError(w, err, 0)
-		return
-	}
+// solve result, labelled with the epoch the answer was solved on. The small
+// envelope goes through encoding/json; the region is appended after it in
+// one pass. The bytes equal json.Encoder output for the envelope with the
+// region as its last field.
+func (s *Server) writeSolve(w http.ResponseWriter, res rrq.Result, shared bool) {
 	resp := solveResponse{
-		Version:    version,
+		Version:    res.Version,
 		Partitions: res.Region.NumPartitions(),
 		ElapsedMS:  float64(res.Elapsed.Microseconds()) / 1000,
 		Cache:      res.Cache.String(),
 		Tier:       res.Tier.String(),
 		Deduped:    shared,
-		Region:     region,
 	}
 	if acc := res.Accuracy; acc != nil {
 		resp.Accuracy = &accuracyNote{
@@ -401,8 +402,26 @@ func (s *Server) writeSolve(w http.ResponseWriter, version uint64, res rrq.Resul
 	if deg := res.Degraded; deg != nil {
 		resp.Degraded = &degradedNote{Reason: deg.Reason.String(), Solver: deg.Solver, Cause: deg.Cause.Error()}
 	}
+	env, err := json.Marshal(resp)
+	if err != nil {
+		writeError(w, err, 0)
+		return
+	}
+	buf := respBufs.Get().(*[]byte)
+	defer respBufs.Put(buf)
+	// env ends with the envelope's closing brace; the region goes before it.
+	b := append((*buf)[:0], env[:len(env)-1]...)
+	b = append(b, `,"region":`...)
+	if b, err = res.Region.AppendJSON(b); err != nil {
+		writeError(w, err, 0)
+		return
+	}
+	b = append(b, "}\n"...)
+	*buf = b
+	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-RRQ-Tier", res.Tier.String())
-	writeJSON(w, http.StatusOK, resp)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
 }
 
 // gaugeDepth publishes the current queue depth.

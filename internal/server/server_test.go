@@ -61,9 +61,16 @@ func postJSON(t *testing.T, url string, body string) (*http.Response, []byte) {
 	return resp, buf.Bytes()
 }
 
-func decodeSolve(t *testing.T, b []byte) solveResponse {
+// wireSolve is a whole /v1/solve body: the envelope with the region as
+// its last field.
+type wireSolve struct {
+	solveResponse
+	Region json.RawMessage `json:"region"`
+}
+
+func decodeSolve(t *testing.T, b []byte) wireSolve {
 	t.Helper()
-	var sr solveResponse
+	var sr wireSolve
 	if err := json.Unmarshal(b, &sr); err != nil {
 		t.Fatalf("malformed solve response %s: %v", b, err)
 	}
@@ -414,7 +421,7 @@ func TestSolveDedup(t *testing.T) {
 	})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	var leader solveResponse
+	var leader wireSolve
 	go func() {
 		defer wg.Done()
 		_, b := postJSON(t, ts.URL+"/v1/solve", solveBody)
@@ -799,5 +806,177 @@ func TestRetryAfterClamp(t *testing.T) {
 	a2.observe(2 * time.Second)
 	if got := a2.retryAfter(12); got < time.Second || got > maxRetryAfter {
 		t.Fatalf("mid-range retryAfter = %v escaped [1s, 60s]", got)
+	}
+}
+
+// oldSolveBody is the /v1/solve body as rrqd encoded it before regions
+// were appended in one pass: the region marshaled on its own, embedded as
+// a json.RawMessage, and the whole response re-encoded by json.Encoder.
+func oldSolveBody(t *testing.T, res rrq.Result, shared bool) []byte {
+	t.Helper()
+	region, err := res.Region.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := wireSolve{solveResponse: solveResponse{
+		Version:    res.Version,
+		Partitions: res.Region.NumPartitions(),
+		ElapsedMS:  float64(res.Elapsed.Microseconds()) / 1000,
+		Cache:      res.Cache.String(),
+		Tier:       res.Tier.String(),
+		Deduped:    shared,
+	}, Region: region}
+	if acc := res.Accuracy; acc != nil {
+		resp.Accuracy = &accuracyNote{SamplesUsed: acc.SamplesUsed, RhoBound: acc.RhoBound,
+			Delta: acc.Delta, Cut: acc.Cut, VolumeEst: acc.VolumeEst}
+	}
+	if src := res.CacheSource; src != nil {
+		resp.CacheSource = &querySpec{Q: src.Q, K: src.K, Epsilon: src.Epsilon}
+	}
+	if deg := res.Degraded; deg != nil {
+		resp.Degraded = &degradedNote{Reason: deg.Reason.String(), Solver: deg.Solver, Cause: deg.Cause.Error()}
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// Every envelope variant writeSolve emits is byte-identical to the old
+// two-pass encoding, with the same status and headers.
+func TestWriteSolveMatchesOldEncoding(t *testing.T) {
+	ds, err := rrq.NewDataset([][]float64{
+		{0.20, 0.92, 0.41}, {0.70, 0.54, 0.33}, {0.60, 0.30, 0.88},
+		{0.35, 0.80, 0.52}, {0.91, 0.12, 0.47}, {0.45, 0.61, 0.70},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := rrq.BuildIndex(ds, rrq.WithResultCache(32), rrq.WithCacheBounds(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := rrq.Point{0.5, 0.6, 0.55}
+	solve := func(ix *rrq.Index, q rrq.Query, want rrq.CacheStatus, opts ...rrq.Option) rrq.Result {
+		t.Helper()
+		res, err := ix.SolveContext(context.Background(), q, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cache != want {
+			t.Fatalf("%v: cache %v, want %v", q, res.Cache, want)
+		}
+		return res
+	}
+	miss := solve(ix, rrq.Query{Q: q, K: 2, Epsilon: 0.1}, rrq.CacheMiss)
+	if miss.Region.IsEmpty() {
+		t.Fatal("the miss region is empty; the cell encoding goes untested")
+	}
+	degraded := miss
+	degraded.Degraded = &rrq.Degradation{Reason: rrq.DegradeTimeout, Solver: "apc",
+		Cause: errors.New(`primary "ept" <timed out> & gave up`)}
+	variants := []struct {
+		name   string
+		res    rrq.Result
+		shared bool
+	}{
+		{"miss", miss, false},
+		{"hit", solve(ix, rrq.Query{Q: q, K: 2, Epsilon: 0.1}, rrq.CacheHit), false},
+		{"inner bound", solve(ix, rrq.Query{Q: q, K: 3, Epsilon: 0.2}, rrq.CacheInner), false},
+		{"outer bound", solve(ix, rrq.Query{Q: q, K: 1, Epsilon: 0.05}, rrq.CacheOuter), false},
+		{"anytime", solve(ix, rrq.Query{Q: q, K: 4, Epsilon: 0.3}, rrq.CacheMiss, rrq.WithAnytimeSamples(30)), false},
+		{"degraded", degraded, false},
+		{"deduped", miss, true},
+		{"intervals", solve(testIndex(t), rrq.Query{Q: rrq.Point{0.4, 0.7}, K: 2, Epsilon: 0.1}, rrq.CacheMiss), false},
+		{"empty", solve(ix, rrq.Query{Q: rrq.Point{0.05, 0.05, 0.05}, K: 1, Epsilon: 0}, rrq.CacheMiss), false},
+	}
+	s, err := New(Config{Index: ix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range variants {
+		rec := httptest.NewRecorder()
+		s.writeSolve(rec, v.res, v.shared)
+		want := oldSolveBody(t, v.res, v.shared)
+		if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Errorf("%s: body differs from the old encoding:\n got %s\nwant %s", v.name, rec.Body.Bytes(), want)
+		}
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" ||
+			rec.Header().Get("X-RRQ-Tier") != v.res.Tier.String() {
+			t.Errorf("%s: status %d, headers %v", v.name, rec.Code, rec.Header())
+		}
+	}
+	if a := variants[4].res; a.Tier != rrq.TierAnytime || a.Accuracy == nil {
+		t.Fatalf("anytime variant has tier %v, accuracy %v", a.Tier, a.Accuracy)
+	}
+	if e := variants[8].res; !e.Region.IsEmpty() {
+		t.Fatal("the empty variant has a non-empty region")
+	}
+}
+
+// A write that lands while a solve runs must not relabel the answer: the
+// response carries the epoch the solve pinned, not the index's epoch
+// after it.
+func TestSolveLabelsPinnedEpoch(t *testing.T) {
+	started := make(chan struct{})
+	var once sync.Once
+	inj := faultinject.New(&faultinject.Fault{
+		Point: faultinject.SolveStart,
+		Match: func([]float64) bool { once.Do(func() { close(started) }); return true },
+		Delay: 200 * time.Millisecond,
+		Times: 1,
+	})
+	ts := newTestServer(t, Config{
+		Index:       testIndex(t),
+		BaseContext: func() context.Context { return faultinject.ContextWith(context.Background(), inj) },
+	})
+	// The epoch-1 answer, from an index of its own so the served index's
+	// cache stays cold and its solve reaches the fault.
+	want, err := testIndex(t).Solve(rrq.Query{Q: rrq.Point{0.4, 0.7}, K: 2, Epsilon: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRegion, err := want.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type reply struct {
+		status int
+		body   []byte
+		err    error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(solveBody))
+		if err != nil {
+			done <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		_, err = buf.ReadFrom(resp.Body)
+		done <- reply{status: resp.StatusCode, body: buf.Bytes(), err: err}
+	}()
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the solve never reached SolveStart")
+	}
+	resp, b := postJSON(t, ts.URL+"/v1/insert", `{"point":[0.5,0.6]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("insert status %d: %s", resp.StatusCode, b)
+	}
+	r := <-done
+	if r.err != nil || r.status != http.StatusOK {
+		t.Fatalf("solve: status %d, err %v: %s", r.status, r.err, r.body)
+	}
+	sr := decodeSolve(t, r.body)
+	if sr.Version != 1 {
+		t.Fatalf("answer solved on epoch 1 is labelled version %d", sr.Version)
+	}
+	if !bytes.Equal(sr.Region, wantRegion) {
+		t.Fatal("the pinned solve did not return the epoch-1 answer")
 	}
 }

@@ -210,6 +210,11 @@ type Stats = core.Stats
 // Tier classifies the contract the answer was produced under; for
 // TierAnytime answers Accuracy carries the enforced accuracy contract
 // (Lemma 5.10 ρ bound for the samples actually consumed), nil otherwise.
+//
+// Version is the epoch of the index snapshot the answer was solved on (or
+// served from the cache at) — pinned when the solve started, so a mutation
+// that lands mid-solve does not relabel it. It is zero for solves not
+// served by an Index.
 type Result struct {
 	Region      *Region
 	Stats       Stats
@@ -219,6 +224,7 @@ type Result struct {
 	CacheSource *Query
 	Tier        SolverTier
 	Accuracy    *Accuracy
+	Version     uint64
 }
 
 // SolverTier classifies the serving contract of a Result.
@@ -767,6 +773,11 @@ func (r *Region) Intervals2D() [][2]float64 { return r.inner.Intervals() }
 // MarshalJSON encodes the region in a self-contained form: intervals for
 // 2-d sweep answers, half-space constraint sets (plus vertices) otherwise.
 func (r *Region) MarshalJSON() ([]byte, error) { return r.inner.MarshalJSON() }
+
+// AppendJSON appends the MarshalJSON encoding of the region to b and
+// returns the extended buffer, so a caller can encode into a reused buffer
+// in one pass. On error b is returned unextended.
+func (r *Region) AppendJSON(b []byte) ([]byte, error) { return r.inner.AppendJSON(b) }
 
 // PBAIndex is the adapted PBA+ baseline: an index built once over a
 // dataset, answering reverse regret queries for any k up to its kmax.
