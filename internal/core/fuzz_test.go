@@ -49,6 +49,42 @@ func FuzzSweepingVsBrute(f *testing.F) {
 	})
 }
 
+// FuzzEPTVsCountBetter checks E-PT's exact region against the counting
+// oracle on corpus-decoded instances of dimension 3 to 5: away from the
+// boundary, u is in the region exactly when fewer than k points beat q
+// under u.
+func FuzzEPTVsCountBetter(f *testing.F) {
+	for fam := byte(0); fam < corpus.NumFamilies; fam++ {
+		for d := 3; d <= 5; d++ {
+			// Decode reads the dimension as 2 + byte mod 5.
+			f.Add(corpus.Encode(fam, d-2, 6+int(fam), 1+int(fam)%4, int(fam)+d, int64(fam)*7919+int64(d)))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ins, ok := corpus.Decode(data)
+		if d := ins.Q.Dim(); !ok || d < 3 || d > 5 {
+			return
+		}
+		pts, q := ins.Pts, Query{Q: ins.Q, K: ins.K, Eps: ins.Eps}
+		reg, err := EPT(pts, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(len(data))))
+		for i := 0; i < 50; i++ {
+			u := vec.RandSimplex(rng, q.Q.Dim())
+			count, margin := CountBetter(pts, q, u)
+			if margin < boundaryMargin {
+				continue
+			}
+			if reg.Contains(u) != (count < q.K) {
+				t.Fatalf("E-PT membership %v at %v, oracle counts %d (family=%s k=%d ε=%v)",
+					reg.Contains(u), u, count, ins.Family, q.K, q.Eps)
+			}
+		}
+	})
+}
+
 // FuzzAPCSound checks that A-PC never returns an unqualified preference on
 // corpus-decoded instances of any dimension.
 func FuzzAPCSound(f *testing.F) {

@@ -81,10 +81,25 @@ func (r *Region) AppendJSON(b []byte) ([]byte, error) {
 // jsonWriter is the state of one AppendJSON call. n counts the elements
 // already written into the innermost open array; err keeps the first
 // non-finite value met (encoding runs on past it and is then discarded).
+//
+// Cells of one region share their planes, so most normals recur many
+// times in a body. normals remembers where a normal was first written, in
+// a direct-mapped slot chosen by its plane ID, and a repeat copies those
+// bytes instead of formatting the floats again. A slot hits only for the
+// same backing array: IDs alone do not identify a normal (a decoded region
+// numbers each cell's planes from 0).
 type jsonWriter struct {
-	b   []byte
-	n   int
-	err error
+	b       []byte
+	n       int
+	err     error
+	normals [256]normalSpan
+}
+
+// normalSpan records that the n-float normal stored at p was encoded as
+// b[start:end].
+type normalSpan struct {
+	p             *float64
+	n, start, end int
 }
 
 // sep writes the comma that precedes array element i.
@@ -98,10 +113,24 @@ func (w *jsonWriter) constraint(con geom.Constraint) {
 	w.sep(w.n)
 	w.n++
 	w.b = append(w.b, `{"normal":`...)
-	w.floats(con.H.Normal)
+	w.normal(con.H)
 	w.b = append(w.b, `,"sign":`...)
 	w.b = strconv.AppendInt(w.b, int64(con.Sign), 10)
 	w.b = append(w.b, '}')
+}
+
+// normal writes h's normal, copying its earlier encoding when the slot
+// for h.ID still holds it. A copy repeats no error: the first encoding
+// already recorded any non-finite value.
+func (w *jsonWriter) normal(h geom.Hyperplane) {
+	slot, p := &w.normals[h.ID&(len(w.normals)-1)], &h.Normal[0]
+	if slot.p == p && slot.n == len(h.Normal) {
+		w.b = append(w.b, w.b[slot.start:slot.end]...)
+		return
+	}
+	start := len(w.b)
+	w.floats(h.Normal)
+	*slot = normalSpan{p: p, n: len(h.Normal), start: start, end: len(w.b)}
 }
 
 func (w *jsonWriter) vertex(v vec.Vec) {

@@ -189,12 +189,105 @@ func TestAppendJSONRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// decodedRegion round-trips r through its JSON. UnmarshalJSON numbers
+// each cell's planes from 0 and gives every cell its own normals, so equal
+// plane IDs carry different normals across the decoded cells.
+func decodedRegion(t *testing.T, r *Region) *Region {
+	t.Helper()
+	data, err := r.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Region
+	if err := back.UnmarshalJSON(data); err != nil {
+		t.Fatal(err)
+	}
+	return &back
+}
+
+// collidingRegion cuts the simplex into the arrangement of up to six
+// planes, plane i having normal pts[i] − mean(pts[i])·1 and ID
+// base + i·stride. With stride 256 every plane falls in
+// one memo slot of the encoder; cells share their planes' storage, as in
+// a solved region.
+func collidingRegion(pts []vec.Vec, base, stride int) *Region {
+	d := pts[0].Dim()
+	cells := []*geom.Cell{geom.NewSimplex(d)}
+	for i, p := range pts[:min(len(pts), 6)] {
+		w := p.Clone()
+		m := w.Mean()
+		for j := range w {
+			w[j] -= m
+		}
+		if w.Norm() < 1e-6 {
+			continue
+		}
+		h := geom.NewHyperplane(w, base+i*stride)
+		var next []*geom.Cell
+		for _, c := range cells {
+			if c.Relation(h) != geom.RelCross {
+				next = append(next, c)
+				continue
+			}
+			neg, pos := c.Split(h)
+			for _, s := range []*geom.Cell{neg, pos} {
+				if s != nil {
+					next = append(next, s)
+				}
+			}
+		}
+		cells = next
+	}
+	return NewCellRegion(d, cells)
+}
+
+// memoKeySeeds are corpus inputs (3-d and 4-d random points) whose E-PT
+// regions, decoded or rebuilt on colliding plane IDs, have several cells
+// sharing constraints.
+func memoKeySeeds() [][]byte {
+	return [][]byte{
+		corpus.Encode(corpus.FamRandom, 1, 9, 3, 1, 12),
+		corpus.Encode(corpus.FamRandom, 2, 9, 1, 1, 29),
+	}
+}
+
+// TestAppendJSONMemoKeys covers the encoder's normal memo on the regions
+// where a key weaker than the normal's storage would copy wrong bytes:
+// decoded regions (equal IDs, different normals), plane IDs equal mod
+// 256, and IDs at and above 1<<30.
+func TestAppendJSONMemoKeys(t *testing.T) {
+	for _, seed := range memoKeySeeds() {
+		ins, _ := corpus.Decode(seed)
+		r, err := EPT(ins.Pts, Query{Q: ins.Q, K: ins.K, Eps: ins.Eps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases := map[string]*Region{
+			"decoded":   decodedRegion(t, r),
+			"colliding": collidingRegion(ins.Pts, 7, 256),
+			"id>=1<<30": collidingRegion(ins.Pts, 1<<30, 1),
+		}
+		for name, reg := range cases {
+			deepest := 0
+			for _, c := range reg.Cells() {
+				deepest = max(deepest, c.NumConstraints())
+			}
+			if len(reg.Cells()) < 5 || deepest < 3 {
+				t.Fatalf("%s: %d cells, at most %d constraints; test is vacuous", name, len(reg.Cells()), deepest)
+			}
+			checkJSONMatchesReference(t, name, reg)
+		}
+	}
+}
+
 // FuzzRegionJSONMatchesReference checks AppendJSON against the reflection
-// encoder on corpus-decoded instances of any dimension, plus an interval
-// region whose endpoints are the input's trailing bytes read as float64
-// bit patterns — NaN, ±Inf and subnormals included.
+// encoder on corpus-decoded instances of any dimension — each solved
+// region, its decoded copy, and the instance's arrangement on plane IDs
+// that collide in the encoder's memo — plus an interval region whose
+// endpoints are the input's trailing bytes read as float64 bit patterns —
+// NaN, ±Inf and subnormals included.
 func FuzzRegionJSONMatchesReference(f *testing.F) {
-	for _, seed := range corpus.Seeds() {
+	for _, seed := range append(corpus.Seeds(), memoKeySeeds()...) {
 		f.Add(seed)
 	}
 	special := corpus.Encode(corpus.FamRandom, 3, 8, 2, 1, 11)
@@ -209,7 +302,11 @@ func FuzzRegionJSONMatchesReference(f *testing.F) {
 		}
 		for solver, r := range solvedRegions(ins) {
 			checkJSONMatchesReference(t, ins.Family+"/"+solver, r)
+			if len(r.cells) > 0 {
+				checkJSONMatchesReference(t, ins.Family+"/"+solver+"/decoded", decodedRegion(t, r))
+			}
 		}
+		checkJSONMatchesReference(t, ins.Family+"/colliding", collidingRegion(ins.Pts, 7, 256))
 		var ivs [][2]float64
 		for rest := data[corpus.EncodedLen:]; len(rest) >= 16; rest = rest[16:] {
 			ivs = append(ivs, [2]float64{

@@ -71,12 +71,14 @@ type Cell struct {
 	// facets holds the cut constraints that have at least one tight
 	// vertex — the candidates for actual facets of the cell. Only these
 	// (plus the simplex bounds) bound the inner-sphere radius; walking the
-	// full constraint chain would cost O(depth) per cell. In degenerate
-	// configurations a facet can be missed (a vertex's tight set is a
-	// subset of the truth), making the inner radius an overestimate; the
-	// only consequence is a spurious RelCross, which every caller resolves
-	// by splitting and discarding an empty side.
-	facets []Constraint
+	// full constraint chain would cost O(depth) per cell. The entries are
+	// nodes of the cell's own chain, so they cost a pointer each and keep
+	// nothing alive that cons does not. In degenerate configurations a
+	// facet can be missed (a vertex's tight set is a subset of the truth),
+	// making the inner radius an overestimate; the only consequence is a
+	// spurious RelCross, which every caller resolves by splitting and
+	// discarding an empty side.
+	facets []*consList
 
 	// Lazily computed sphere data (Lemmas 5.4, 5.5).
 	sphereReady bool
@@ -227,8 +229,8 @@ func (c *Cell) ensureSpheres() {
 			inner = d
 		}
 	}
-	for _, con := range c.facets {
-		d := math.Abs(con.H.AffineDist(ctr))
+	for _, n := range c.facets {
+		d := math.Abs(n.con.H.AffineDist(ctr))
 		if d < inner {
 			inner = d
 		}
@@ -332,7 +334,15 @@ type classified struct {
 type splitScratch struct {
 	cls   []classified
 	fresh []vertex
+	// mark[id] == gen records that tight id occurs at some vertex of the
+	// child being filtered; bumping gen clears every mark at once.
+	mark []uint32
+	gen  uint32
 }
+
+// markCap bounds the stamp array. Ids at or above it — the rank tree
+// numbers its planes from 1<<30 — are looked up in the vertices instead.
+const markCap = 1 << 16
 
 var splitPool = sync.Pool{New: func() any { return new(splitScratch) }}
 
@@ -399,7 +409,7 @@ func (c *Cell) split(h Hyperplane, wantNeg, wantPos bool) (neg, pos *Cell) {
 		}
 		verts = append(verts, fresh...)
 		out.verts = verts
-		out.facets = filterFacets(c.facets, Constraint{H: h, Sign: conSign}, verts, c.dim)
+		out.facets = sc.filterFacets(c.facets, out.cons, verts, c.dim)
 		return out
 	}
 
@@ -415,21 +425,44 @@ func (c *Cell) split(h Hyperplane, wantNeg, wantPos bool) (neg, pos *Cell) {
 }
 
 // filterFacets selects, from the parent's facet candidates plus the new
-// constraint, those with at least one tight vertex in verts. The candidate
-// list is short (facets of a convex cell), so a direct scan over the
-// vertices' sorted tight sets beats building a presence map — and
-// allocates nothing beyond the result.
-func filterFacets(parent []Constraint, newCon Constraint, verts []vertex, dim int) []Constraint {
-	out := make([]Constraint, 0, len(parent)+1)
-	for _, con := range parent {
-		if anyTight(verts, int32(dim+con.H.ID)) {
-			out = append(out, con)
+// constraint node, those with at least one tight vertex in verts, keeping
+// their order. The vertices' tight ids are stamped once, so each candidate
+// costs one lookup rather than a search of every vertex's tight set.
+func (sc *splitScratch) filterFacets(parent []*consList, newCon *consList, verts []vertex, dim int) []*consList {
+	if sc.gen++; sc.gen == 0 {
+		clear(sc.mark)
+		sc.gen = 1
+	}
+	for i := range verts {
+		for _, id := range verts[i].tight {
+			if uint32(id) >= markCap {
+				continue
+			}
+			if int(id) >= len(sc.mark) {
+				sc.mark = append(sc.mark, make([]uint32, int(id)+1-len(sc.mark))...)
+			}
+			sc.mark[id] = sc.gen
 		}
 	}
-	if anyTight(verts, int32(dim+newCon.H.ID)) {
+	out := make([]*consList, 0, len(parent)+1)
+	for _, n := range parent {
+		if sc.tight(verts, int32(dim+n.con.H.ID)) {
+			out = append(out, n)
+		}
+	}
+	if sc.tight(verts, int32(dim+newCon.con.H.ID)) {
 		out = append(out, newCon)
 	}
 	return out
+}
+
+// tight reports whether some vertex in verts, the set last stamped by
+// filterFacets, has id in its tight set.
+func (sc *splitScratch) tight(verts []vertex, id int32) bool {
+	if uint32(id) < markCap {
+		return int(id) < len(sc.mark) && sc.mark[id] == sc.gen
+	}
+	return anyTight(verts, id)
 }
 
 // anyTight reports whether some vertex has id in its tight set.
