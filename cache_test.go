@@ -238,3 +238,115 @@ func TestIndexCacheRejectsInvalidQueryBeforeBoundServing(t *testing.T) {
 		}
 	}
 }
+
+// Exact hits keep their encoded region after the first encode and serve
+// those bytes afterwards: every served body is byte-identical to the
+// region's own encoding and to a fresh solve, through eviction and an
+// epoch change, and the kept-byte gauge and served counter track it.
+func TestIndexCacheKeptBodies(t *testing.T) {
+	ds := SyntheticDataset(Independent, 40, 3, 4242)
+	var qs []Query
+	for seed := int64(1); len(qs) < 3 && seed < 200; seed++ {
+		q := Query{Q: ds.RandomQuery(seed), K: 3, Epsilon: 0.1}
+		if r, err := Solve(ds, q); err == nil && !r.IsEmpty() {
+			qs = append(qs, q)
+		}
+	}
+	if len(qs) < 3 {
+		t.Fatal("precondition: want three queries with non-empty regions")
+	}
+	reg := NewRegistry()
+	ix, err := BuildIndex(ds, WithResultCache(2), WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cur := ds
+	// encode solves q, checks the cache status, and returns the served
+	// encoding after checking it against the region's own encoding and a
+	// fresh solve on the current points.
+	encode := func(q Query, want CacheStatus) []byte {
+		t.Helper()
+		res, err := ix.SolveContext(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cache != want {
+			t.Fatalf("%v: cache %v, want %v", q, res.Cache, want)
+		}
+		got, err := res.Region.AppendJSON([]byte("prefix"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		own, _ := res.Region.inner.AppendJSON([]byte("prefix"))
+		fresh, err := SolveContext(ctx, cur, q, WithSkybandPrefilter(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, _ := fresh.Region.MarshalJSON()
+		if !bytes.Equal(got, own) || !bytes.Equal(got[len("prefix"):], fb) {
+			t.Fatalf("%v (%v): served %s\nown encoding %s\nfresh solve %s", q, want, got, own, fb)
+		}
+		return got
+	}
+	stats := func() CacheStats {
+		t.Helper()
+		st := *ix.Stats().Cache
+		if g := reg.Gauge("cache.body_bytes").Value(); g != float64(st.BodyBytes) {
+			t.Fatalf("cache.body_bytes gauge %g, stats %d", g, st.BodyBytes)
+		}
+		if c := reg.Counter("cache.body_served").Value(); c != st.BodyServed {
+			t.Fatalf("cache.body_served counter %d, stats %d", c, st.BodyServed)
+		}
+		return st
+	}
+
+	// A hit nobody encodes keeps nothing.
+	encode(qs[0], CacheMiss)
+	if _, err := ix.SolveContext(ctx, qs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if st := stats(); st.BodyBytes != 0 {
+		t.Fatalf("an unencoded hit kept %d bytes", st.BodyBytes)
+	}
+	first := encode(qs[0], CacheHit)
+	kept := stats().BodyBytes
+	if kept != int64(len(first)-len("prefix")) {
+		t.Fatalf("kept %d bytes, want the %d-byte body", kept, len(first)-len("prefix"))
+	}
+	encode(qs[0], CacheHit)
+	if st := stats(); st.BodyServed != 1 {
+		t.Fatalf("body_served = %d, want 1", st.BodyServed)
+	}
+
+	// Eviction: two more entries push qs[0] out of the 2-entry cache.
+	encode(qs[1], CacheMiss)
+	encode(qs[2], CacheMiss)
+	if st := stats(); st.BodyBytes != 0 {
+		t.Fatalf("eviction left %d kept bytes", st.BodyBytes)
+	}
+	encode(qs[0], CacheMiss)
+	encode(qs[0], CacheHit)
+	encode(qs[0], CacheHit)
+
+	// Epoch change: pruning releases the bytes; the new epoch re-keeps.
+	if _, err := ix.Insert(Point{0.9, 0.9, 0.9}); err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]float64
+	for i := 0; i < ds.Len(); i++ {
+		rows = append(rows, ds.PointAt(i))
+	}
+	if cur, err = NewDataset(append(rows, []float64{0.9, 0.9, 0.9})); err != nil {
+		t.Fatal(err)
+	}
+	if st := stats(); st.BodyBytes != 0 || st.Entries != 0 {
+		t.Fatalf("after an epoch change: %+v, want no entries and no kept bytes", st)
+	}
+	encode(qs[0], CacheMiss)
+	encode(qs[0], CacheHit)
+	encode(qs[0], CacheHit)
+	if st := stats(); st.BodyServed != 3 || st.BodyBytes == 0 {
+		t.Fatalf("stats %+v, want 3 bodies served and one kept", st)
+	}
+}

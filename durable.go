@@ -13,7 +13,6 @@ import (
 	"errors"
 	"time"
 
-	"rrq/internal/cache"
 	"rrq/internal/index"
 	"rrq/internal/wal"
 )
@@ -101,10 +100,7 @@ func OpenDurableIndex(dc DurableConfig, seed func() (*Dataset, error), opts ...O
 	if err != nil {
 		return nil, nil, err
 	}
-	ix := &Index{inner: inner, cfg: cfg, dim: inner.Dim(), dur: dur}
-	if cfg.cacheSize > 0 {
-		ix.cache = cache.New(cfg.cacheSize)
-	}
+	ix := &Index{inner: inner, cfg: cfg, dim: inner.Dim(), dur: dur, cache: newResultCache(cfg)}
 	if reg := cfg.metrics; reg != nil {
 		reg.Counter("index.builds").Inc()
 		reg.Gauge("index.epoch").Set(float64(inner.Version()))

@@ -80,15 +80,26 @@ func BuildIndex(d *Dataset, opts ...Option) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{inner: inner, cfg: cfg, dim: d.Dim()}
-	if cfg.cacheSize > 0 {
-		ix.cache = cache.New(cfg.cacheSize)
-	}
+	ix := &Index{inner: inner, cfg: cfg, dim: d.Dim(), cache: newResultCache(cfg)}
 	if reg := cfg.metrics; reg != nil {
 		reg.Counter("index.builds").Inc()
 		reg.Gauge("index.epoch").Set(float64(inner.Version()))
 	}
 	return ix, nil
+}
+
+// newResultCache returns the result cache WithResultCache configures (nil
+// without it), publishing its kept-body metrics on the WithMetrics
+// registry.
+func newResultCache(cfg config) *cache.Cache {
+	if cfg.cacheSize <= 0 {
+		return nil
+	}
+	c := cache.New(cfg.cacheSize)
+	if cfg.metrics != nil {
+		c.Observe(cfg.metrics)
+	}
+	return c
 }
 
 // timePhase starts the named phase timer on reg and returns its closer.
@@ -297,9 +308,9 @@ func (ix *Index) cachedSolve(ctx context.Context, cfg config, snap *index.Snapsh
 	version := snap.Version()
 	if cacheable {
 		start := time.Now()
-		if r, ok := ix.cache.Get(version, algo.String(), cq); ok {
+		if r, body, ok := ix.cache.Get(version, algo.String(), cq); ok {
 			return ix.cacheServe(cfg, "cache.hit", Result{
-				Region:  &Region{inner: r, q: cq},
+				Region:  &Region{inner: r, q: cq, body: body},
 				Stats:   Stats{Pieces: r.NumPieces()},
 				Elapsed: time.Since(start),
 				Cache:   CacheHit,
@@ -508,9 +519,5 @@ func LoadIndex(r io.Reader, opts ...Option) (*Index, error) {
 		reg.Counter("index.builds").Inc()
 		reg.Gauge("index.epoch").Set(float64(inner.Version()))
 	}
-	ix := &Index{inner: inner, cfg: cfg, dim: inner.Dim()}
-	if cfg.cacheSize > 0 {
-		ix.cache = cache.New(cfg.cacheSize)
-	}
-	return ix, nil
+	return &Index{inner: inner, cfg: cfg, dim: inner.Dim(), cache: newResultCache(cfg)}, nil
 }

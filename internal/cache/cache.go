@@ -20,6 +20,10 @@
 // invalidation is free: a new epoch simply never matches old keys, and
 // Prune discards the dead generation eagerly.
 //
+// An entry that has been hit also keeps the encoded bytes of its region
+// (Body), within a cache-wide byte budget, so later hits append those
+// bytes instead of encoding the region again.
+//
 // The cache is safe for concurrent use. Stored regions are immutable and
 // shared; callers must not mutate them.
 package cache
@@ -30,6 +34,7 @@ import (
 	"sync/atomic"
 
 	"rrq/internal/core"
+	"rrq/internal/obs"
 )
 
 // BoundKind classifies how a cache answer relates to the true region of the
@@ -89,12 +94,18 @@ type entry struct {
 	// partial order. Guarded by Cache.mu.
 	measure  float64
 	measured bool
+	// body is the kept encoding of region (see Body), nil until an exact
+	// hit's encoding was offered and fit the budget. bodySize is the
+	// length of the last offered encoding — kept or refused — so a refused
+	// entry is offered again only once it would fit. Guarded by Cache.mu.
+	body     []byte
+	bodySize int
 }
 
 // proxySeed and proxySamples parameterize the tightness-proxy estimate.
 // The seed is fixed so repeated lookups agree; 256 samples are enough to
 // order regions whose volumes differ meaningfully, and ties fall back to
-// keeping the incumbent.
+// the smaller fullKey (see firstKey).
 const (
 	proxySeed    = 0x5EED
 	proxySamples = 256
@@ -110,6 +121,14 @@ func (e *entry) measureLocked() float64 {
 	return e.measure
 }
 
+// bodyBudget caps the kept encodings of the whole cache, in bytes. Hit
+// traffic is skewed: on a Zipf(1.1) workload over 3-d regions the eight
+// most-hit entries account for 61% of the bytes hits encode, in 0.4 MB,
+// and the top 128 for 84% in 3.8 MB, while keeping every entry's bytes
+// would take 29 MB. The budget is first come, first kept; bytes return to
+// it when their entry is evicted, replaced or pruned.
+const bodyBudget = 4 << 20
+
 // Cache is a bounded LRU result cache. The zero value is not usable; call
 // New.
 type Cache struct {
@@ -119,7 +138,16 @@ type Cache struct {
 	exact   map[string]*entry              // fullKey → entry
 	buckets map[string]map[*entry]struct{} // bucket → member set
 
-	hits, misses, boundHits atomic.Int64
+	// bodyBudget is the constant bodyBudget (tests shrink it); bodyBytes
+	// the sum of every entry's kept body. Guarded by mu.
+	bodyBudget, bodyBytes int
+
+	hits, misses, boundHits, bodyServed atomic.Int64
+
+	// Optional metrics (Observe): the "cache.body_bytes" gauge and the
+	// "cache.body_served" counter.
+	bodyGauge  *obs.Gauge
+	bodyServes *obs.Counter
 }
 
 // New returns an empty cache holding at most capacity entries (capacity
@@ -129,11 +157,21 @@ func New(capacity int) *Cache {
 		capacity = 1
 	}
 	return &Cache{
-		cap:     capacity,
-		lru:     list.New(),
-		exact:   make(map[string]*entry),
-		buckets: make(map[string]map[*entry]struct{}),
+		cap:        capacity,
+		lru:        list.New(),
+		exact:      make(map[string]*entry),
+		buckets:    make(map[string]map[*entry]struct{}),
+		bodyBudget: bodyBudget,
 	}
+}
+
+// Observe publishes the kept-body accounting on reg: the
+// "cache.body_bytes" gauge (bytes currently kept) and the
+// "cache.body_served" counter (hits answered from kept bytes). Call it
+// before the cache is shared.
+func (c *Cache) Observe(reg *obs.Registry) {
+	c.bodyGauge = reg.Gauge("cache.body_bytes")
+	c.bodyServes = reg.Counter("cache.body_served")
 }
 
 // versionKey prefixes a key with the epoch version so entries of different
@@ -155,9 +193,9 @@ func fullKey(version uint64, path string, q core.Query) string {
 	return versionKey(version, path+"\x00"+q.Key())
 }
 
-// Get returns the exact cached region for (version, path, q), or ok =
-// false. A hit refreshes the entry's recency.
-func (c *Cache) Get(version uint64, path string, q core.Query) (*core.Region, bool) {
+// Get returns the exact cached region for (version, path, q) and the
+// entry's Body, or ok = false. A hit refreshes the entry's recency.
+func (c *Cache) Get(version uint64, path string, q core.Query) (*core.Region, Body, bool) {
 	key := fullKey(version, path, q)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -166,11 +204,78 @@ func (c *Cache) Get(version uint64, path string, q core.Query) (*core.Region, bo
 		// An inexact entry bounds its key's answer without equalling it, so
 		// it can never satisfy the byte-identical exact-hit contract.
 		c.misses.Add(1)
-		return nil, false
+		return nil, Body{}, false
 	}
 	c.lru.MoveToFront(e.lruEntry)
 	c.hits.Add(1)
-	return e.region, true
+	b := Body{c: c, e: e, region: e.region, bytes: e.body}
+	b.offer = e.body == nil && c.bodyBytes+e.bodySize <= c.bodyBudget
+	return e.region, b, true
+}
+
+// Body is an exact hit's handle on its entry's kept encoding. The zero
+// Body keeps nothing. A Body is a snapshot taken at lookup: bytes kept
+// after it was taken are served from the next hit on.
+type Body struct {
+	c      *Cache
+	e      *entry
+	region *core.Region // the region the hit returned
+	bytes  []byte       // the entry's kept encoding at lookup, nil if none
+	offer  bool         // whether Keep may keep this hit's encoding
+}
+
+// Append appends the kept encoding of the hit's region to b. ok is false
+// when the entry kept none at lookup; the caller then encodes the region
+// itself and offers the bytes to Keep.
+func (h Body) Append(b []byte) (_ []byte, ok bool) {
+	if h.bytes == nil {
+		return b, false
+	}
+	h.c.bodyServed.Add(1)
+	if h.c.bodyServes != nil {
+		h.c.bodyServes.Inc()
+	}
+	return append(b, h.bytes...), true
+}
+
+// Keep offers enc, the caller's complete encoding of the hit's region, as
+// the entry's kept body. The cache copies enc when the entry is still
+// cached with the same region, keeps no body yet, and the copy fits the
+// budget; otherwise it records the size and keeps nothing.
+func (h Body) Keep(enc []byte) {
+	if !h.offer {
+		return
+	}
+	c, e := h.c, h.e
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.exact[e.fullKey] != e || e.region != h.region || e.body != nil {
+		return // evicted, replaced, or kept by a concurrent first hit
+	}
+	e.bodySize = len(enc)
+	if c.bodyBytes+len(enc) > c.bodyBudget {
+		return
+	}
+	e.body = append(make([]byte, 0, len(enc)), enc...)
+	c.bodyBytes += len(enc)
+	c.publishBodyLocked()
+}
+
+// dropBodyLocked releases e's kept body (if any) back to the budget.
+func (c *Cache) dropBodyLocked(e *entry) {
+	e.bodySize = 0
+	if e.body == nil {
+		return
+	}
+	c.bodyBytes -= len(e.body)
+	e.body = nil
+	c.publishBodyLocked()
+}
+
+func (c *Cache) publishBodyLocked() {
+	if c.bodyGauge != nil {
+		c.bodyGauge.Set(float64(c.bodyBytes))
+	}
 }
 
 // Put stores the region solved for (version, path, q). Only exact,
@@ -200,6 +305,7 @@ func (c *Cache) put(version uint64, path string, q core.Query, region *core.Regi
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.exact[key]; ok {
+		c.dropBodyLocked(e)
 		e.region = region
 		e.inexact = inexact
 		e.measured = false
@@ -236,18 +342,20 @@ func (c *Cache) put(version uint64, path string, q core.Query, region *core.Regi
 // (k=2, ε=0.2) — for which no a-priori ordering exists (either region can
 // be the larger); those ties break on a memoized seeded-measure proxy of
 // the stored regions themselves. A lexicographic (k, then ε) pick — the
-// historical behavior — could prefer a strictly looser bound.
+// historical behavior — could prefer a strictly looser bound. Whatever the
+// proxy cannot order (equal (k, ε) on two serving paths, equal measures)
+// goes to the smaller fullKey, so the pick never depends on the order the
+// bucket map is walked in.
 func (c *Cache) Bound(version uint64, q core.Query) *Answer {
 	bucket := versionKey(version, q.PointKey())
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var inner, outer *entry
+	var exact, inner, outer *entry
 	for e := range c.buckets[bucket] {
 		eq := e.q
 		if !e.inexact && eq.K == q.K && eq.Eps == q.Eps {
-			c.lru.MoveToFront(e.lruEntry)
-			c.hits.Add(1)
-			return &Answer{Region: e.region, Kind: Exact, From: eq}
+			exact = firstKey(e, exact)
+			continue
 		}
 		if eq.K <= q.K && eq.Eps <= q.Eps {
 			inner = c.betterInner(e, inner)
@@ -255,6 +363,11 @@ func (c *Cache) Bound(version uint64, q core.Query) *Answer {
 		if !e.inexact && eq.K >= q.K && eq.Eps >= q.Eps {
 			outer = c.betterOuter(e, outer)
 		}
+	}
+	if exact != nil {
+		c.lru.MoveToFront(exact.lruEntry)
+		c.hits.Add(1)
+		return &Answer{Region: exact.region, Kind: Exact, From: exact.q}
 	}
 	pick := inner
 	kind := Inner
@@ -280,17 +393,24 @@ func (c *Cache) betterInner(e, best *entry) *entry {
 		return e
 	}
 	if !e.inexact && !best.inexact {
-		if e.q.K >= best.q.K && e.q.Eps >= best.q.Eps {
+		eDom := e.q.K >= best.q.K && e.q.Eps >= best.q.Eps
+		bestDom := best.q.K >= e.q.K && best.q.Eps >= e.q.Eps
+		switch {
+		case eDom && bestDom:
+			return firstKey(e, best) // same (k, ε), so the same set
+		case eDom:
 			return e
-		}
-		if best.q.K >= e.q.K && best.q.Eps >= e.q.Eps {
+		case bestDom:
 			return best
 		}
 	}
-	if e.measureLocked() > best.measureLocked() {
+	switch me, mb := e.measureLocked(), best.measureLocked(); {
+	case me > mb:
 		return e
+	case me < mb:
+		return best
 	}
-	return best
+	return firstKey(e, best)
 }
 
 // betterOuter picks the tighter of two outer-bound candidates: dominance —
@@ -301,16 +421,33 @@ func (c *Cache) betterOuter(e, best *entry) *entry {
 	if best == nil {
 		return e
 	}
-	if e.q.K <= best.q.K && e.q.Eps <= best.q.Eps {
+	eDom := e.q.K <= best.q.K && e.q.Eps <= best.q.Eps
+	bestDom := best.q.K <= e.q.K && best.q.Eps <= e.q.Eps
+	switch {
+	case eDom && bestDom:
+		return firstKey(e, best)
+	case eDom:
 		return e
-	}
-	if best.q.K <= e.q.K && best.q.Eps <= e.q.Eps {
+	case bestDom:
 		return best
 	}
-	if e.measureLocked() < best.measureLocked() {
+	switch me, mb := e.measureLocked(), best.measureLocked(); {
+	case me < mb:
 		return e
+	case me > mb:
+		return best
 	}
-	return best
+	return firstKey(e, best)
+}
+
+// firstKey breaks a tie between two bound candidates (b may be nil) by the
+// smaller fullKey, a total order independent of insertion and map
+// iteration.
+func firstKey(a, b *entry) *entry {
+	if b == nil || a.fullKey < b.fullKey {
+		return a
+	}
+	return b
 }
 
 // Prune discards every entry not belonging to version — called after a
@@ -333,6 +470,7 @@ func (c *Cache) Prune(version uint64) {
 
 // removeLocked unlinks one entry from the LRU list and both indexes.
 func (c *Cache) removeLocked(e *entry) {
+	c.dropBodyLocked(e)
 	c.lru.Remove(e.lruEntry)
 	delete(c.exact, e.fullKey)
 	if members, ok := c.buckets[e.bucket]; ok {
@@ -350,19 +488,24 @@ type Stats struct {
 	// Hits and Misses count exact lookups; BoundHits counts answers served
 	// as monotonicity bounds.
 	Hits, Misses, BoundHits int64
+	// BodyBytes is the size of the kept encodings, BodyServed the number
+	// of hits answered from them.
+	BodyBytes, BodyServed int64
 }
 
 // Stats returns the cache's current statistics.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
-	n := c.lru.Len()
+	n, body := c.lru.Len(), c.bodyBytes
 	c.mu.Unlock()
 	return Stats{
-		Entries:   n,
-		Capacity:  c.cap,
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		BoundHits: c.boundHits.Load(),
+		Entries:    n,
+		Capacity:   c.cap,
+		Hits:       c.hits.Load(),
+		Misses:     c.misses.Load(),
+		BoundHits:  c.boundHits.Load(),
+		BodyBytes:  int64(body),
+		BodyServed: c.bodyServed.Load(),
 	}
 }
 

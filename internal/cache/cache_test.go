@@ -18,23 +18,23 @@ func region(lo, hi float64) *core.Region {
 func TestExactHitAndMiss(t *testing.T) {
 	c := New(8)
 	q := q2(0.4, 0.7, 2, 0.1)
-	if _, ok := c.Get(1, "E-PT", q); ok {
+	if _, _, ok := c.Get(1, "E-PT", q); ok {
 		t.Fatal("hit on empty cache")
 	}
 	r := region(0.2, 0.6)
 	c.Put(1, "E-PT", q, r)
-	got, ok := c.Get(1, "E-PT", q)
+	got, _, ok := c.Get(1, "E-PT", q)
 	if !ok || got != r {
 		t.Fatalf("expected stored region back, got %v ok=%v", got, ok)
 	}
 	// Different serving path, version, or query → miss.
-	if _, ok := c.Get(1, "Sweeping", q); ok {
+	if _, _, ok := c.Get(1, "Sweeping", q); ok {
 		t.Fatal("hit across serving paths")
 	}
-	if _, ok := c.Get(2, "E-PT", q); ok {
+	if _, _, ok := c.Get(2, "E-PT", q); ok {
 		t.Fatal("hit across versions")
 	}
-	if _, ok := c.Get(1, "E-PT", q2(0.4, 0.7, 3, 0.1)); ok {
+	if _, _, ok := c.Get(1, "E-PT", q2(0.4, 0.7, 3, 0.1)); ok {
 		t.Fatal("hit across k")
 	}
 	s := c.Stats()
@@ -219,7 +219,7 @@ func TestPutInnerServesOnlyInnerBounds(t *testing.T) {
 	q := q2(0.4, 0.7, 3, 0.2)
 	r := region(0.3, 0.5)
 	c.PutInner(1, "anytime", q, r)
-	if _, ok := c.Get(1, "anytime", q); ok {
+	if _, _, ok := c.Get(1, "anytime", q); ok {
 		t.Fatal("inexact entry answered an exact Get")
 	}
 	// Same (k, ε): the region is a subset, not the answer — Inner, not Exact.
@@ -274,10 +274,10 @@ func TestLRUEviction(t *testing.T) {
 	c.Put(1, "E-PT", qb, region(0, 1))
 	c.Get(1, "E-PT", qa) // refresh a: b is now least recent
 	c.Put(1, "E-PT", qc, region(0, 1))
-	if _, ok := c.Get(1, "E-PT", qa); !ok {
+	if _, _, ok := c.Get(1, "E-PT", qa); !ok {
 		t.Fatal("refreshed entry evicted")
 	}
-	if _, ok := c.Get(1, "E-PT", qb); ok {
+	if _, _, ok := c.Get(1, "E-PT", qb); ok {
 		t.Fatal("least-recent entry survived eviction")
 	}
 	if c.Len() != 2 {
@@ -298,10 +298,10 @@ func TestPruneDropsDeadGenerations(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("len after prune = %d, want 1", c.Len())
 	}
-	if _, ok := c.Get(2, "E-PT", q2(0.1, 0.1, 1, 0)); !ok {
+	if _, _, ok := c.Get(2, "E-PT", q2(0.1, 0.1, 1, 0)); !ok {
 		t.Fatal("current-version entry pruned")
 	}
-	if _, ok := c.Get(1, "E-PT", q2(0.1, 0.1, 1, 0)); ok {
+	if _, _, ok := c.Get(1, "E-PT", q2(0.1, 0.1, 1, 0)); ok {
 		t.Fatal("dead-version entry survived prune")
 	}
 }
@@ -315,7 +315,7 @@ func TestPutIsIdempotentPerKey(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("duplicate Put grew the cache: len=%d", c.Len())
 	}
-	got, _ := c.Get(1, "E-PT", q)
+	got, _, _ := c.Get(1, "E-PT", q)
 	if got != r2 {
 		t.Fatal("re-Put did not replace the stored region")
 	}
@@ -342,4 +342,50 @@ func TestConcurrentAccess(t *testing.T) {
 		<-done
 	}
 	c.Stats()
+}
+
+// Ties the measure proxy cannot break — two empty, incomparable inner
+// neighbors, or one (k, ε) cached under two serving paths — must pick the
+// same entry whatever the insertion order and however the bucket map is
+// walked.
+func TestBoundTiesAreDeterministic(t *testing.T) {
+	empty := func() *core.Region { return core.NewIntervalRegion(nil) }
+	type put struct {
+		path string
+		q    core.Query
+	}
+	cases := []struct {
+		name string
+		puts []put
+		q    core.Query
+	}{
+		{"empty incomparable inner", []put{{"E-PT", q2(0.4, 0.7, 3, 0.1)}, {"E-PT", q2(0.4, 0.7, 2, 0.2)}}, q2(0.4, 0.7, 3, 0.2)},
+		{"empty incomparable outer", []put{{"E-PT", q2(0.4, 0.7, 5, 0.2)}, {"E-PT", q2(0.4, 0.7, 4, 0.3)}}, q2(0.4, 0.7, 3, 0.1)},
+		{"same (k, ε) inner", []put{{"E-PT", q2(0.4, 0.7, 2, 0.1)}, {"tree", q2(0.4, 0.7, 2, 0.1)}}, q2(0.4, 0.7, 3, 0.2)},
+		{"same (k, ε) exact", []put{{"E-PT", q2(0.4, 0.7, 2, 0.1)}, {"tree", q2(0.4, 0.7, 2, 0.1)}}, q2(0.4, 0.7, 2, 0.1)},
+	}
+	for _, tc := range cases {
+		var picks []string
+		for _, order := range [][2]int{{0, 1}, {1, 0}} {
+			c := New(8)
+			regions := map[*core.Region]string{}
+			for _, i := range order {
+				r := empty()
+				regions[r] = tc.puts[i].path + " " + tc.puts[i].q.String()
+				c.Put(1, tc.puts[i].path, tc.puts[i].q, r)
+			}
+			for rep := 0; rep < 50; rep++ {
+				ans := c.Bound(1, tc.q)
+				if ans == nil {
+					t.Fatalf("%s: no bound served", tc.name)
+				}
+				picks = append(picks, regions[ans.Region])
+			}
+		}
+		for _, p := range picks {
+			if p != picks[0] {
+				t.Fatalf("%s: picks vary across orders and repeats: %q vs %q", tc.name, picks[0], p)
+			}
+		}
+	}
 }

@@ -169,10 +169,14 @@ func buildPlanesArena(pts []vec.Vec, q Query, a *Arena) PlaneSet {
 	return PlaneSet{Crossing: planes, Base: base}
 }
 
-// planesForArena resolves the plane set like planesFor, preferring the
-// batch sharing view riding on the arena (which derives into the arena),
-// then shared storage, then the worker arena, then a fresh build.
+// planesForArena resolves the plane set like planesFor: a query decided by
+// its base count first, then the batch sharing view riding on the arena
+// (which derives into the arena), then shared storage, then the worker
+// arena, then a fresh build.
 func planesForArena(src PlaneSource, pts []vec.Vec, q Query, a *Arena) PlaneSet {
+	if decidedBase(pts, q) {
+		return PlaneSet{Base: q.K}
+	}
 	if a != nil && a.share != nil {
 		return a.share.planesArena(pts, q, a)
 	}

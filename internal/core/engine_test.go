@@ -83,26 +83,38 @@ func TestContextSolversMatchPlainCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := EPT(pts, q)
-	if err != nil {
-		t.Fatal(err)
+	// The random query is decided by its base count (no planes built); the
+	// competitive one is not, so its solves must report the crossing planes.
+	competitive := Query{Q: vec.Vec{0.97, 0.95, 0.2}, K: q.K, Eps: q.Eps}
+	if !decidedBase(pts, q) || decidedBase(pts, competitive) || len(BuildPlanes(pts, competitive).Crossing) == 0 {
+		t.Fatal("precondition: want one decided and one competitive query")
 	}
-	for _, s := range []Solver{EPTSolver{}, BruteForceSolver{}} {
-		got, st, err := s.Solve(context.Background(), prep, q)
+	for _, q := range []Query{q, competitive} {
+		want, err := EPT(pts, q)
 		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
+			t.Fatal(err)
 		}
-		if st.PlanesBuilt == 0 {
-			t.Errorf("%s: stats not populated", s.Name())
+		wantBuilt := 0
+		if !decidedBase(pts, q) {
+			wantBuilt = len(BuildPlanes(pts, q).Crossing)
 		}
-		for i := 0; i < 200; i++ {
-			u := vec.RandSimplex(rng, 3)
-			_, margin := CountBetter(pts, q, u)
-			if margin < boundaryMargin {
-				continue
+		for _, s := range []Solver{EPTSolver{}, BruteForceSolver{}} {
+			got, st, err := s.Solve(context.Background(), prep, q)
+			if err != nil {
+				t.Fatalf("%s: %v", s.Name(), err)
 			}
-			if got.Contains(u) != want.Contains(u) {
-				t.Fatalf("%s diverged from EPT at %v", s.Name(), u)
+			if st.PlanesBuilt != wantBuilt {
+				t.Errorf("%s %v: PlanesBuilt %d, want %d", s.Name(), q, st.PlanesBuilt, wantBuilt)
+			}
+			for i := 0; i < 200; i++ {
+				u := vec.RandSimplex(rng, 3)
+				_, margin := CountBetter(pts, q, u)
+				if margin < boundaryMargin {
+					continue
+				}
+				if got.Contains(u) != want.Contains(u) {
+					t.Fatalf("%s diverged from EPT at %v", s.Name(), u)
+				}
 			}
 		}
 	}

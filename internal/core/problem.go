@@ -327,12 +327,47 @@ func (ps PlaneSet) KEff(k int) int { return k - ps.Base }
 type PlaneSource func(pts []vec.Vec, q Query) PlaneSet
 
 // planesFor resolves the plane set through src when present, else builds it
-// fresh.
+// fresh. A query decided by its base count (decidedBase) resolves to a set
+// with no crossing planes, before src or a build is consulted.
 func planesFor(src PlaneSource, pts []vec.Vec, q Query) PlaneSet {
+	if decidedBase(pts, q) {
+		return PlaneSet{Base: q.K}
+	}
 	if src != nil {
 		return src(pts, q)
 	}
 	return BuildPlanes(pts, q)
+}
+
+// decidedBase reports whether at least q.K points of pts fold into
+// PlaneSet.Base — a normal q − (1−ε)p that is ≤ 0 in every component with
+// some component < 0, classified with geom.Tol exactly as BuildPlanes does.
+// Such a query is empty everywhere (KEff ≤ 0), so its crossing planes never
+// need building: this is the reverse top-k dominator early exit. The scan
+// stops at the q.K-th base point, leaves a point at its first positive
+// coordinate and allocates nothing.
+func decidedBase(pts []vec.Vec, q Query) bool {
+	scale := 1 - q.Eps
+	base := 0
+	for _, p := range pts {
+		neg, pos := false, false
+		for j, qj := range q.Q {
+			x := qj - scale*p[j]
+			if x > geom.Tol {
+				pos = true
+				break
+			}
+			if x < -geom.Tol {
+				neg = true
+			}
+		}
+		if neg && !pos {
+			if base++; base >= q.K {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // BuildPlanes constructs h_{q,p} for every p ∈ pts and classifies it:

@@ -144,9 +144,9 @@ func (v *shareView) pointsFor(k int) []vec.Vec {
 // Per-point classification categories of a plane group, mirroring
 // BuildPlanes' three-way switch.
 const (
-	shareDrop uint8 = iota // normal ≥ 0: never counts, no plane
-	shareBase              // normal ≤ 0: folded into PlaneSet.Base
-	shareCross             // mixed signs: a crossing plane
+	shareDrop  uint8 = iota // normal ≥ 0: never counts, no plane
+	shareBase               // normal ≤ 0: folded into PlaneSet.Base
+	shareCross              // mixed signs: a crossing plane
 )
 
 // planeGroup holds the classified planes of one (query point, ε) group,

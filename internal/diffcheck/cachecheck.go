@@ -106,7 +106,7 @@ func checkCacheProblem(cfg Config, ins corpus.Instance, ordinal int64, rep *Cach
 	// from-scratch solve of the same query.
 	c := cache.New(16)
 	c.Put(version, cacheServePath, q, base)
-	got, ok := c.Get(version, cacheServePath, q)
+	got, body, ok := c.Get(version, cacheServePath, q)
 	if !ok {
 		rep.fail(Mismatch{Kind: "cache-miss-expected-hit", Problem: prob,
 			Detail: "entry just stored was not served"})
@@ -129,10 +129,19 @@ func checkCacheProblem(cfg Config, ins corpus.Instance, ordinal int64, rep *Cach
 			Detail: fmt.Sprintf("cache-served region differs from fresh solve\n got: %s\nwant: %s", servedBytes, freshBytes)})
 		return
 	}
+	// Kept body: the first hit's encoding, kept by the entry, must serve
+	// the next hit byte for byte.
+	body.Keep(servedBytes)
+	_, body, _ = c.Get(version, cacheServePath, q)
+	if keptBytes, ok := body.Append(nil); !ok || !bytes.Equal(keptBytes, freshBytes) {
+		rep.fail(Mismatch{Kind: "cache-byte-divergence", Problem: prob,
+			Detail: fmt.Sprintf("kept body (kept %v) differs from fresh solve\n got: %s\nwant: %s", ok, keptBytes, freshBytes)})
+		return
+	}
 
 	// Version miss: the next epoch must not see the entry, and pruning to
 	// the next epoch must empty the cache entirely.
-	if _, ok := c.Get(version+1, cacheServePath, q); ok {
+	if _, _, ok := c.Get(version+1, cacheServePath, q); ok {
 		rep.fail(Mismatch{Kind: "cache-stale-serve", Problem: prob,
 			Detail: "entry stored at one epoch served at the next"})
 		return
@@ -143,9 +152,9 @@ func checkCacheProblem(cfg Config, ins corpus.Instance, ordinal int64, rep *Cach
 		return
 	}
 	c.Prune(version + 1)
-	if c.Len() != 0 {
+	if st := c.Stats(); st.Entries != 0 || st.BodyBytes != 0 {
 		rep.fail(Mismatch{Kind: "cache-stale-serve", Problem: prob,
-			Detail: fmt.Sprintf("%d entries survived pruning to the next epoch", c.Len())})
+			Detail: fmt.Sprintf("%d entries (%d kept body bytes) survived pruning to the next epoch", st.Entries, st.BodyBytes)})
 		return
 	}
 

@@ -148,9 +148,10 @@ type Snapshot struct {
 	dom     []int       // exact dominator count per point; immutable
 	pstats  *planeStats // owning index's lifetime plane-cache counters
 
-	mu     sync.Mutex
-	bands  map[int][]vec.Vec
-	planes map[string]core.PlaneSet
+	mu          sync.Mutex
+	bands       map[int][]vec.Vec
+	planes      map[string]core.PlaneSet
+	planesTotal int // crossing-plane capacity held by planes
 
 	treeMu   sync.Mutex
 	tree     *RankTree
@@ -158,9 +159,18 @@ type Snapshot struct {
 	treeDone bool
 }
 
-// maxPlaneCache bounds the per-snapshot plane store; queries beyond it
-// build planes without caching (the region is unaffected).
-const maxPlaneCache = 1024
+// maxPlaneCache and maxPlaneCachePlanes bound the per-snapshot plane
+// store, in sets and in crossing planes (about 100 bytes each at d = 3);
+// queries beyond either bound build planes without caching (the region is
+// unaffected). Queries decided by their base count never reach the store,
+// so it holds only competitive queries' sets. A hit on one saves a plane
+// build, but the tree search that follows costs far more, while 1024 such
+// sets of a 3-d Zipf read mix held 38 MB: the plane bound keeps the store
+// small.
+const (
+	maxPlaneCache       = 1024
+	maxPlaneCachePlanes = 1 << 16
+)
 
 // Build validates pts and constructs the first epoch. The points are
 // copied; the caller keeps ownership of its slice.
@@ -327,34 +337,40 @@ func (s *Snapshot) PointsFor(k int) []vec.Vec {
 // counters; the snapshot's shared lifetime counters (Index.Stats) are
 // maintained unconditionally.
 func (s *Snapshot) Prepared(reg *obs.Registry) *core.Prepared {
-	src := func(pts []vec.Vec, q core.Query) core.PlaneSet {
-		key := q.Key()
-		s.mu.Lock()
-		ps, ok := s.planes[key]
-		s.mu.Unlock()
-		if ok {
-			s.pstats.hits.Add(1)
-			if reg != nil {
-				reg.Counter("index.planes.hit").Inc()
-			}
-			return ps
-		}
-		ps = core.BuildPlanes(pts, q)
-		s.mu.Lock()
-		if s.planes == nil {
-			s.planes = make(map[string]core.PlaneSet)
-		}
-		if len(s.planes) < maxPlaneCache {
-			s.planes[key] = ps
-		}
-		s.mu.Unlock()
-		s.pstats.misses.Add(1)
+	src := func(pts []vec.Vec, q core.Query) core.PlaneSet { return s.planesFor(reg, pts, q) }
+	return core.PrepareIndexed(s.pts, s.dim, s.PointsFor, src)
+}
+
+// planesFor serves q's classified plane set from the snapshot's store,
+// building it over pts and storing it (within the store's bounds) on a
+// miss.
+func (s *Snapshot) planesFor(reg *obs.Registry, pts []vec.Vec, q core.Query) core.PlaneSet {
+	key := q.Key()
+	s.mu.Lock()
+	ps, ok := s.planes[key]
+	s.mu.Unlock()
+	if ok {
+		s.pstats.hits.Add(1)
 		if reg != nil {
-			reg.Counter("index.planes.miss").Inc()
+			reg.Counter("index.planes.hit").Inc()
 		}
 		return ps
 	}
-	return core.PrepareIndexed(s.pts, s.dim, s.PointsFor, src)
+	ps = core.BuildPlanes(pts, q)
+	s.mu.Lock()
+	if s.planes == nil {
+		s.planes = make(map[string]core.PlaneSet)
+	}
+	if _, dup := s.planes[key]; !dup && len(s.planes) < maxPlaneCache && s.planesTotal+cap(ps.Crossing) <= maxPlaneCachePlanes {
+		s.planes[key] = ps
+		s.planesTotal += cap(ps.Crossing)
+	}
+	s.mu.Unlock()
+	s.pstats.misses.Add(1)
+	if reg != nil {
+		reg.Counter("index.planes.miss").Inc()
+	}
+	return ps
 }
 
 // Tree returns the snapshot's rank-level tree, building it on first use

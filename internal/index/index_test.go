@@ -405,6 +405,91 @@ func TestIndexPlaneCache(t *testing.T) {
 	}
 }
 
+// The plane store stops admitting sets at its crossing-plane budget: it
+// never holds more than maxPlaneCachePlanes, and a query left out is
+// rebuilt on every request with the same planes.
+func TestIndexPlaneStoreBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	pts, _ := randomInstance(rng, 3000, 3)
+	ix, err := Build(pts, 3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := ix.Snapshot()
+	var left *core.Query
+	built := 0
+	for i := 0; i < 400 && left == nil; i++ {
+		q := core.Query{Q: vec.Of(0.3+0.6*rng.Float64(), 0.3+0.6*rng.Float64(), 0.3+0.6*rng.Float64()), K: 5, Eps: 0.1}
+		before := ix.Stats().PlaneSets
+		ps := s.planesFor(nil, pts, q)
+		built += len(ps.Crossing)
+		if ix.Stats().PlaneSets == before {
+			left = &q
+		}
+		s.mu.Lock()
+		total := s.planesTotal
+		s.mu.Unlock()
+		if total > maxPlaneCachePlanes {
+			t.Fatalf("store holds %d crossing planes, budget %d", total, maxPlaneCachePlanes)
+		}
+	}
+	if left == nil {
+		t.Fatalf("built %d planes without reaching the store's budget", built)
+	}
+	misses := ix.Stats().PlaneMisses
+	want := core.BuildPlanes(pts, *left)
+	for i := 0; i < 2; i++ {
+		got := s.planesFor(nil, pts, *left)
+		if got.Base != want.Base || len(got.Crossing) != len(want.Crossing) {
+			t.Fatalf("a query left out of the store got %d+%d planes, want %d+%d",
+				got.Base, len(got.Crossing), want.Base, len(want.Crossing))
+		}
+	}
+	if got := ix.Stats().PlaneMisses - misses; got != 2 {
+		t.Fatalf("a query left out of the store missed %d times in 2 requests, want 2", got)
+	}
+}
+
+// A query decided by its base count never reaches the snapshot's plane
+// memo: it builds no planes, stores no set and counts neither a hit nor a
+// miss, and its allocations do not depend on the dataset size.
+func TestIndexDecidedSkipsPlaneMemo(t *testing.T) {
+	q := core.Query{Q: vec.Of(0.5, 0.5, 0.05), K: 4, Eps: 0.1}
+	var allocs [2]float64
+	for i, n := range []int{100, 2000} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		pts, _ := randomInstance(rng, n, 3)
+		if core.BuildPlanes(pts, q).KEff(q.K) > 0 {
+			t.Fatalf("n=%d: precondition: the query must be decided", n)
+		}
+		ix, err := Build(pts, 3, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		prep := ix.Snapshot().Prepared(reg)
+		ctx := context.Background()
+		r, st, err := core.EPTSolver{}.Solve(ctx, prep, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Empty() || st != (core.Stats{}) {
+			t.Fatalf("n=%d: decided solve gave %d pieces, stats %+v; want empty, zero stats", n, r.NumPieces(), st)
+		}
+		allocs[i] = testing.AllocsPerRun(20, func() {
+			if _, _, err := (core.EPTSolver{}).Solve(ctx, prep, q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if s := ix.Stats(); s.PlaneSets != 0 || s.PlaneHits != 0 || s.PlaneMisses != 0 || len(reg.Counters()) != 0 {
+			t.Fatalf("n=%d: decided queries touched the plane memo: %+v, counters %v", n, s, reg.Counters())
+		}
+	}
+	if allocs[1] != allocs[0] {
+		t.Errorf("decided solve allocates %.0f (n=100) and %.0f (n=2000) per run; want equal", allocs[0], allocs[1])
+	}
+}
+
 // The snapshot rank tree must answer exactly like the direct solvers for
 // k ≤ kmax, and must survive mutations by lazy rebuild on the next epoch.
 func TestIndexRankTreeMatchesSolver(t *testing.T) {

@@ -115,6 +115,11 @@ func TestSolveInsertSolveCacheFlow(t *testing.T) {
 	if !bytes.Equal(first.Region, second.Region) {
 		t.Fatal("cache-served region differs from the fresh answer")
 	}
+	// The first hit's encoding was kept; this hit is served from it.
+	resp, b = postJSON(t, ts.URL+"/v1/solve", solveBody)
+	if kept := decodeSolve(t, b); resp.StatusCode != http.StatusOK || kept.Cache != "hit" || !bytes.Equal(first.Region, kept.Region) {
+		t.Fatalf("kept-body hit: status=%d cache=%q, region equal %v", resp.StatusCode, kept.Cache, bytes.Equal(first.Region, kept.Region))
+	}
 
 	resp, b = postJSON(t, ts.URL+"/v1/insert", `{"point":[0.5,0.6]}`)
 	if resp.StatusCode != http.StatusOK {
@@ -162,7 +167,7 @@ func TestSolveInsertSolveCacheFlow(t *testing.T) {
 	defer r3.Body.Close()
 	var buf bytes.Buffer
 	buf.ReadFrom(r3.Body)
-	for _, want := range []string{"cache.hit", "server.requests", "rrq.solves"} {
+	for _, want := range []string{"cache.hit", "server.requests", "rrq.solves", "cache.body_served: 1\n", "cache.body_bytes: 0\n"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, buf.String())
 		}
@@ -873,6 +878,13 @@ func TestWriteSolveMatchesOldEncoding(t *testing.T) {
 	if miss.Region.IsEmpty() {
 		t.Fatal("the miss region is empty; the cell encoding goes untested")
 	}
+	// The first hit's encode keeps the region's bytes on the cache entry;
+	// the next hit serves them.
+	hit := solve(ix, rrq.Query{Q: q, K: 2, Epsilon: 0.1}, rrq.CacheHit)
+	if _, err := hit.Region.AppendJSON(nil); err != nil {
+		t.Fatal(err)
+	}
+	keptHit := solve(ix, rrq.Query{Q: q, K: 2, Epsilon: 0.1}, rrq.CacheHit)
 	degraded := miss
 	degraded.Degraded = &rrq.Degradation{Reason: rrq.DegradeTimeout, Solver: "apc",
 		Cause: errors.New(`primary "ept" <timed out> & gave up`)}
@@ -882,7 +894,8 @@ func TestWriteSolveMatchesOldEncoding(t *testing.T) {
 		shared bool
 	}{
 		{"miss", miss, false},
-		{"hit", solve(ix, rrq.Query{Q: q, K: 2, Epsilon: 0.1}, rrq.CacheHit), false},
+		{"hit", hit, false},
+		{"hit with kept body", keptHit, false},
 		{"inner bound", solve(ix, rrq.Query{Q: q, K: 3, Epsilon: 0.2}, rrq.CacheInner), false},
 		{"outer bound", solve(ix, rrq.Query{Q: q, K: 1, Epsilon: 0.05}, rrq.CacheOuter), false},
 		{"anytime", solve(ix, rrq.Query{Q: q, K: 4, Epsilon: 0.3}, rrq.CacheMiss, rrq.WithAnytimeSamples(30)), false},
@@ -897,7 +910,11 @@ func TestWriteSolveMatchesOldEncoding(t *testing.T) {
 	}
 	for _, v := range variants {
 		rec := httptest.NewRecorder()
+		served := ix.Stats().Cache.BodyServed
 		s.writeSolve(rec, v.res, v.shared)
+		if kept := ix.Stats().Cache.BodyServed > served; kept != (v.name == "hit with kept body") {
+			t.Errorf("%s: served from kept bytes = %v", v.name, kept)
+		}
 		want := oldSolveBody(t, v.res, v.shared)
 		if !bytes.Equal(rec.Body.Bytes(), want) {
 			t.Errorf("%s: body differs from the old encoding:\n got %s\nwant %s", v.name, rec.Body.Bytes(), want)
@@ -907,10 +924,10 @@ func TestWriteSolveMatchesOldEncoding(t *testing.T) {
 			t.Errorf("%s: status %d, headers %v", v.name, rec.Code, rec.Header())
 		}
 	}
-	if a := variants[4].res; a.Tier != rrq.TierAnytime || a.Accuracy == nil {
+	if a := variants[5].res; a.Tier != rrq.TierAnytime || a.Accuracy == nil {
 		t.Fatalf("anytime variant has tier %v, accuracy %v", a.Tier, a.Accuracy)
 	}
-	if e := variants[8].res; !e.Region.IsEmpty() {
+	if e := variants[9].res; !e.Region.IsEmpty() {
 		t.Fatal("the empty variant has a non-empty region")
 	}
 }

@@ -66,10 +66,25 @@ func TestTraceEventsMatchStats(t *testing.T) {
 	}
 }
 
+// decidedObsCases pairs the solvers that build planes with queries decided
+// by the base count: at least k points beat q everywhere.
+func decidedObsCases() []obsCase {
+	ds2 := SyntheticDataset(Independent, 60, 2, 31)
+	ds3 := SyntheticDataset(Independent, 40, 3, 32)
+	q2 := Query{Q: Point{0.1, 0.1}, K: 3, Epsilon: 0.1}
+	q3 := Query{Q: Point{0.1, 0.1, 0.1}, K: 3, Epsilon: 0.1}
+	return []obsCase{
+		{"decided sweeping", ds2, q2, []Option{WithAlgorithm(SweepingAlgo)}},
+		{"decided ept", ds3, q3, []Option{WithAlgorithm(EPTAlgo)}},
+		{"decided brute-2d", ds2, q2, []Option{WithAlgorithm(BruteForceAlgo)}},
+		{"decided brute-nd", ds3, q3, []Option{WithAlgorithm(BruteForceAlgo)}},
+	}
+}
+
 // TestSolveBatchStatsParity checks that a query solved alone and inside a
 // batch reports identical Stats and that the batch aggregate sums them.
 func TestSolveBatchStatsParity(t *testing.T) {
-	for _, tc := range obsCases() {
+	for _, tc := range append(obsCases(), decidedObsCases()...) {
 		p, err := Prepare(tc.ds, tc.opts...)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -78,13 +93,16 @@ func TestSolveBatchStatsParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		rep := p.SolveBatch(context.Background(), []Query{tc.q, tc.q, tc.q})
+		// A second distinct query keeps batch sharing on: a batch of one
+		// distinct query runs unshared.
+		other := Query{Q: tc.ds.RandomQuery(2), K: tc.q.K, Epsilon: tc.q.Epsilon}
+		rep := p.SolveBatch(context.Background(), []Query{tc.q, other, tc.q, tc.q})
 		var agg Stats
 		for i, r := range rep.Results {
 			if r.Err != nil {
 				t.Fatalf("%s: batch query %d: %v", tc.name, i, r.Err)
 			}
-			if r.Stats != single.Stats {
+			if i != 1 && r.Stats != single.Stats {
 				t.Errorf("%s: batch query %d stats %+v differ from single-solve stats %+v",
 					tc.name, i, r.Stats, single.Stats)
 			}
@@ -92,6 +110,36 @@ func TestSolveBatchStatsParity(t *testing.T) {
 		}
 		if rep.Agg != agg {
 			t.Errorf("%s: report aggregate %+v is not the sum of per-query stats %+v", tc.name, rep.Agg, agg)
+		}
+	}
+}
+
+// TestDecidedStatsParity: a decided query stops before building planes on
+// every path, so the single solve and the index path (the batch path is
+// in TestSolveBatchStatsParity) report the same all-zero Stats —
+// PlanesBuilt 0 included — and the index plane memo is never consulted.
+func TestDecidedStatsParity(t *testing.T) {
+	for _, tc := range decidedObsCases() {
+		single, err := SolveContext(context.Background(), tc.ds, tc.q, tc.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !single.Region.IsEmpty() || single.Stats != (Stats{}) {
+			t.Fatalf("%s: decided query solved to %d partitions with stats %+v; want empty, zero stats",
+				tc.name, single.Region.NumPartitions(), single.Stats)
+		}
+		ix, err := BuildIndex(tc.ds, tc.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i := 0; i < 2; i++ {
+			res, err := ix.SolveContext(context.Background(), tc.q)
+			if err != nil || res.Stats != single.Stats {
+				t.Errorf("%s: index solve %d stats %+v (err %v), want %+v", tc.name, i, res.Stats, err, single.Stats)
+			}
+		}
+		if st := ix.Stats(); st.PlaneSets != 0 || st.PlaneHits+st.PlaneMisses != 0 {
+			t.Errorf("%s: decided index solves reached the plane memo: %+v", tc.name, st)
 		}
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"rrq/internal/baseline"
+	"rrq/internal/cache"
 	"rrq/internal/core"
 	"rrq/internal/dataset"
 	"rrq/internal/index"
@@ -731,6 +732,10 @@ func RegretRatio(d *Dataset, q Point, k int, u Vector) float64 {
 type Region struct {
 	inner *core.Region
 	q     core.Query
+	// body is the result cache's kept encoding of inner for an exact hit
+	// (zero otherwise): AppendJSON serves its bytes, or offers its own
+	// encoding back to the cache.
+	body cache.Body
 }
 
 // IsEmpty reports whether no preference qualifies.
@@ -776,8 +781,21 @@ func (r *Region) MarshalJSON() ([]byte, error) { return r.inner.MarshalJSON() }
 
 // AppendJSON appends the MarshalJSON encoding of the region to b and
 // returns the extended buffer, so a caller can encode into a reused buffer
-// in one pass. On error b is returned unextended.
-func (r *Region) AppendJSON(b []byte) ([]byte, error) { return r.inner.AppendJSON(b) }
+// in one pass. On error b is returned unextended. A region served as an
+// exact result-cache hit appends the bytes the cache kept from an earlier
+// encoding, when it has them; otherwise its encoding is offered to the
+// cache to keep.
+func (r *Region) AppendJSON(b []byte) ([]byte, error) {
+	if out, ok := r.body.Append(b); ok {
+		return out, nil
+	}
+	n := len(b)
+	b, err := r.inner.AppendJSON(b)
+	if err == nil {
+		r.body.Keep(b[n:])
+	}
+	return b, err
+}
 
 // PBAIndex is the adapted PBA+ baseline: an index built once over a
 // dataset, answering reverse regret queries for any k up to its kmax.
