@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"rrq/internal/core"
-	"rrq/internal/geom"
 	"rrq/internal/obs"
 )
 
@@ -99,9 +98,9 @@ func tierFor(cfg config, dim int, deg *core.Degradation) SolverTier {
 
 // anytimeOptions maps the public configuration onto the core anytime
 // construction: the A-PC sample/seed knobs carry over, the anytime knobs
-// become the cut budgets, and warm holds the partitions of a previously
-// served inner bound to resume from.
-func anytimeOptions(cfg config, warm []*geom.Cell) core.AnytimeOptions {
+// become the cut budgets, and warm is a previously served inner bound to
+// resume from.
+func anytimeOptions(cfg config, warm *core.Region) core.AnytimeOptions {
 	return core.AnytimeOptions{
 		Samples:    cfg.samples,
 		Seed:       cfg.seed,
@@ -113,11 +112,11 @@ func anytimeOptions(cfg config, warm []*geom.Cell) core.AnytimeOptions {
 
 // solveAnytime answers one query on the anytime tier: the resumable
 // progressive A-PC construction, cut by the configured budget(s). warm
-// seeds the construction with the partitions of a previously served inner
-// bound (the cells are appended verbatim, so the result region contains
-// the seed); warmName, when non-empty, names the metrics counter bumped
-// for the warm start.
-func (p *Prepared) solveAnytime(ctx context.Context, q Query, warm []*geom.Cell, warmName string) (Result, error) {
+// seeds the construction with a previously served inner bound (its cells
+// lead the result verbatim, so the result region contains the seed);
+// warmName, when non-empty, names the metrics counter bumped for the warm
+// start.
+func (p *Prepared) solveAnytime(ctx context.Context, q Query, warm *core.Region, warmName string) (Result, error) {
 	cq := q.toCore()
 	start := time.Now()
 	r, st, acc, err := core.APCAnytimeContext(p.cfg.obsContext(ctx), p.prep.PointsFor(cq.K), cq, anytimeOptions(p.cfg, warm))

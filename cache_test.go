@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"sync"
 	"testing"
 )
 
@@ -348,5 +349,44 @@ func TestIndexCacheKeptBodies(t *testing.T) {
 	encode(qs[0], CacheHit)
 	if st := stats(); st.BodyServed != 3 || st.BodyBytes == 0 {
 		t.Fatalf("stats %+v, want 3 bodies served and one kept", st)
+	}
+}
+
+// Every hit of a cached answer shares one region, so measuring it must
+// only read: two hits of one 3-d query measured from two goroutines at
+// once (exact 3-d measure takes each cell's barycenter) must neither race
+// nor disagree with the miss that built the region.
+func TestCachedRegionConcurrentMeasure(t *testing.T) {
+	ds := SyntheticDataset(Independent, 40, 3, 900)
+	q := Query{Q: Point{0.97, 0.9, 0.2}, K: 3, Epsilon: 0.1}
+	ix, err := BuildIndex(ds, WithResultCache(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res [3]Result
+	for i := range res {
+		if res[i], err = ix.SolveContext(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res[1].Cache != CacheHit || res[2].Cache != CacheHit {
+		t.Fatalf("repeat solves served as %v, %v; want two hits", res[1].Cache, res[2].Cache)
+	}
+	if res[0].Region.NumPartitions() < 2 {
+		t.Fatalf("region has %d partitions; test is vacuous", res[0].Region.NumPartitions())
+	}
+	var got [2]float64
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = res[i+1].Region.Measure(100)
+		}()
+	}
+	wg.Wait()
+	want := res[0].Region.Measure(100)
+	if got[0] != want || got[1] != want {
+		t.Fatalf("concurrent hits measured %v and %v, the miss %v", got[0], got[1], want)
 	}
 }

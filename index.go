@@ -16,7 +16,6 @@ import (
 
 	"rrq/internal/cache"
 	"rrq/internal/core"
-	"rrq/internal/geom"
 	"rrq/internal/index"
 	"rrq/internal/vec"
 )
@@ -379,7 +378,7 @@ func (ix *Index) anytimeSolve(ctx context.Context, cfg config, snap *index.Snaps
 		return Result{}, err
 	}
 	version := snap.Version()
-	var warm []*geom.Cell
+	var warm *core.Region
 	var warmSrc *Query
 	if ix.cache != nil {
 		start := time.Now()
@@ -400,8 +399,8 @@ func (ix *Index) anytimeSolve(ctx context.Context, cfg config, snap *index.Snaps
 				// Sound seed: the cached region is contained in this query's
 				// true region, so its partitions enter the construction as-is.
 				// 2-d interval-backed regions carry no cells — skip those.
-				if cells := ans.Region.Cells(); len(cells) > 0 {
-					warm = cells
+				if ans.Region.Pack() != nil {
+					warm = ans.Region
 					src := Query{Q: Point(ans.From.Q), K: ans.From.K, Epsilon: ans.From.Eps}
 					warmSrc = &src
 				}

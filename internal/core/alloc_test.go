@@ -95,8 +95,8 @@ func TestRegionAppendJSONZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells.Cells()) < 2 || len(intervals.intervals) == 0 {
-		t.Fatalf("%d cells, %d intervals; test is vacuous", len(cells.Cells()), len(intervals.intervals))
+	if cells.NumPieces() < 2 || len(intervals.intervals) == 0 {
+		t.Fatalf("%d cells, %d intervals; test is vacuous", cells.NumPieces(), len(intervals.intervals))
 	}
 	for name, r := range map[string]*Region{"cells": cells, "intervals": intervals} {
 		buf, err := r.AppendJSON(nil)

@@ -58,12 +58,12 @@ type AnytimeOptions struct {
 	// query — every partition the skipped prefix would build is already
 	// there. The skipped prefix still counts into Accuracy.SamplesUsed.
 	StartSample int
-	// Warm seeds the construction with cells already known to be qualified
-	// for this query (a previous cut's region, or a cached inner bound from
-	// a neighbor with k' ≤ k and ε' ≤ ε). Warm cells join the Lemma 5.8
-	// dedup set and the returned region, so the answer is a monotone
-	// improvement over the seed.
-	Warm []*geom.Cell
+	// Warm seeds the construction with a region already known to be
+	// qualified for this query (a previous cut's region, or a cached inner
+	// bound from a neighbor with k' ≤ k and ε' ≤ ε); nil for none. Its
+	// cells join the Lemma 5.8 dedup set and lead the returned region, in
+	// their order, so the answer is a monotone improvement over the seed.
+	Warm *Region
 	// Delta is the confidence parameter δ of the reported ρ bound
 	// (default 0.05).
 	Delta float64
@@ -173,8 +173,11 @@ func APCAnytimeContext(ctx context.Context, pts []vec.Vec, q Query, opt AnytimeO
 
 	rng := rand.New(rand.NewSource(opt.Seed))
 	dropped := apcDroppedPlanes(pts, q)
-	cells := make([]*geom.Cell, 0, len(opt.Warm)+8)
-	cells = append(cells, opt.Warm...)
+	var warm *geom.Pack
+	if opt.Warm != nil {
+		warm = opt.Warm.Pack()
+	}
+	var cells []*geom.Cell
 
 	var deadline time.Time
 	if opt.Budget > 0 {
@@ -206,7 +209,7 @@ func APCAnytimeContext(ctx context.Context, pts []vec.Vec, q Query, opt AnytimeO
 		if !ok {
 			continue
 		}
-		already := false
+		already := warm.Contains(u)
 		for _, c := range cells {
 			if c.Contains(u) {
 				already = true
@@ -225,15 +228,10 @@ func APCAnytimeContext(ctx context.Context, pts []vec.Vec, q Query, opt AnytimeO
 		}
 	}
 	st.Samples = consumed - opt.StartSample
-	st.Pieces = len(cells)
+	st.Pieces = warm.NumCells() + len(cells)
 	check.Emit(obs.EvSampleClassified, st.Samples)
 	check.Emit(obs.EvPieceEmitted, st.Pieces)
-	var r *Region
-	if len(cells) == 0 {
-		r = emptyRegion(d)
-	} else {
-		r = newCellRegion(d, cells)
-	}
+	r := &Region{dim: d, cells: geom.PackCells(d, warm, cells)}
 	acc.SamplesUsed = consumed
 	acc.Delta = opt.Delta
 	acc.RhoBound = RhoFor(consumed, opt.Delta, d)

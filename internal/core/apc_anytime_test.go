@@ -74,7 +74,7 @@ func TestAnytimeResumeMatchesFresh(t *testing.T) {
 		}
 		resOpt := opt
 		resOpt.StartSample = cacc.SamplesUsed
-		resOpt.Warm = cut.Cells()
+		resOpt.Warm = cut
 		res, _, racc, err := APCAnytimeContext(t.Context(), pts, q, resOpt)
 		if err != nil {
 			t.Fatal(err)
@@ -111,7 +111,7 @@ func TestAnytimeWarmStartFromInnerBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		r, _, _, err := APCAnytimeContext(t.Context(), pts, q, AnytimeOptions{
-			Samples: 50, Seed: int64(trial) + 7, Warm: seedRegion.Cells(),
+			Samples: 50, Seed: int64(trial) + 7, Warm: seedRegion,
 		})
 		if err != nil {
 			t.Fatal(err)

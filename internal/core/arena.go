@@ -28,14 +28,16 @@ type Arena struct {
 	planes  []geom.Hyperplane // crossing-plane headers
 
 	// E-PT plane reduction and ordering (reduceAndOrderPlanesOpt).
-	negFlat  []float64
-	negUnits []vec.Vec
-	sky      skyband.Scratch
-	noRedIdx []int
-	kept     []geom.Hyperplane
-	w        []int
-	order    []int
-	ordered  []geom.Hyperplane
+	negFlat   []float64
+	negUnits  []vec.Vec
+	sky       skyband.Scratch
+	sortedNeg []float64 // negFlat in the skyband's sum order
+	sortedSum []float64
+	noRedIdx  []int
+	kept      []geom.Hyperplane
+	w         []int
+	order     []int
+	ordered   []geom.Hyperplane
 
 	// Sweeping (sweepIntervals).
 	incl   []float64

@@ -197,6 +197,7 @@ func reduceAndOrderPlanesOpt(planes []geom.Hyperplane, k int, noReduce, noOrder 
 		for i := range keepIdx {
 			keepIdx[i] = i
 		}
+		skyband.SortBySum(negUnits, &a.sky)
 	} else {
 		keepIdx = skyband.KSkybandScratch(negUnits, k, &a.sky)
 	}
@@ -205,17 +206,36 @@ func reduceAndOrderPlanesOpt(planes []geom.Hyperplane, k int, noReduce, noOrder 
 	// v' ≥ v component-wise means h'⁻ ⊆ h⁻, so W counts the planes whose
 	// unit normal dominates h's. Inserting in descending W order lets the
 	// widest negative half-spaces raise counters first, so invalid nodes
-	// are discovered early.
+	// are discovered early. On negated normals each counted plane is one
+	// that h's dominates, so only the sum order from h's first equal-sum
+	// position on can hold it (see skyband.SortBySum); the negated normals
+	// are copied into that order once, so each count streams over a suffix.
+	bySum, sums := a.sky.SumOrder()
+	sorted := growF64(&a.sortedNeg, m*d)
+	sortedSum := growF64(&a.sortedSum, m)
+	for p, j := range bySum {
+		copy(sorted[p*d:(p+1)*d], flat[j*d:(j+1)*d])
+		sortedSum[p] = sums[j]
+	}
 	w := growInts(&a.w, len(keepIdx))
 	for out, i := range keepIdx {
 		kept[out] = planes[i]
-		w[out] = 0
-		ui := planes[i].Unit()
-		for j := 0; j < m; j++ {
-			if j != i && skyband.Dominates(planes[j].Unit(), ui) {
-				w[out]++
+		lo, hi := 0, m
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if sortedSum[mid] <= sums[i] {
+				hi = mid
+			} else {
+				lo = mid + 1
 			}
 		}
+		n := 0
+		for p := lo * d; p < m*d; p += d {
+			if skyband.Dominates(negUnits[i], sorted[p:p+d]) {
+				n++
+			}
+		}
+		w[out] = n
 	}
 	if noOrder {
 		return kept

@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"rrq/internal/geom"
-	"rrq/internal/vec"
 )
 
 // regionJSON is the wire form of a Region: either intervals (d = 2 sweep
@@ -41,8 +40,8 @@ func (r *Region) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil) }
 // pass and returns the extended buffer. The bytes are those encoding/json
 // produces for the wire form — field order, omitted empty fields and its
 // float format (shortest 'f' digits, 'e' below 1e-6 and from 1e21 up, with
-// a one-digit negative exponent written e-7, not e-07). Cells are walked
-// in place, without cloning constraints or vertices. A NaN or ±Inf
+// a one-digit negative exponent written e-7, not e-07). Packed cells are
+// walked in place, without cloning constraints or vertices. A NaN or ±Inf
 // coordinate fails with the *json.UnsupportedValueError json.Marshal
 // reports, and b is returned unextended.
 func (r *Region) AppendJSON(b []byte) ([]byte, error) {
@@ -58,17 +57,11 @@ func (r *Region) AppendJSON(b []byte) ([]byte, error) {
 		}
 		w.b = append(w.b, ']')
 	}
-	if len(r.cells) > 0 {
+	if n := r.cells.NumCells(); n > 0 {
 		w.b = append(w.b, `,"cells":[`...)
-		for i, c := range r.cells {
+		for i := 0; i < n; i++ {
 			w.sep(i)
-			w.b = append(w.b, `{"constraints":[`...)
-			w.n = 0
-			c.VisitConstraints(w.constraint)
-			w.b = append(w.b, `],"vertices":[`...)
-			w.n = 0
-			c.VisitVertices(w.vertex)
-			w.b = append(w.b, "]}"...)
+			w.cell(&r.cells, i)
 		}
 		w.b = append(w.b, ']')
 	}
@@ -78,29 +71,22 @@ func (r *Region) AppendJSON(b []byte) ([]byte, error) {
 	return append(w.b, '}'), nil
 }
 
-// jsonWriter is the state of one AppendJSON call. n counts the elements
-// already written into the innermost open array; err keeps the first
+// jsonWriter is the state of one AppendJSON call. err keeps the first
 // non-finite value met (encoding runs on past it and is then discarded).
 //
 // Cells of one region share their planes, so most normals recur many
-// times in a body. normals remembers where a normal was first written, in
-// a direct-mapped slot chosen by its plane ID, and a repeat copies those
-// bytes instead of formatting the floats again. A slot hits only for the
-// same backing array: IDs alone do not identify a normal (a decoded region
-// numbers each cell's planes from 0).
+// times in a body. normals remembers, by pack plane number, where a normal
+// was first written, and a repeat copies those bytes instead of formatting
+// the floats again. Planes numbered past the memo are formatted each time.
 type jsonWriter struct {
 	b       []byte
-	n       int
 	err     error
-	normals [256]normalSpan
+	normals [512]span
 }
 
-// normalSpan records that the n-float normal stored at p was encoded as
-// b[start:end].
-type normalSpan struct {
-	p             *float64
-	n, start, end int
-}
+// span records that a normal was encoded as b[start:end]; end == 0 marks a
+// normal not yet written (an encoding is never empty).
+type span struct{ start, end int }
 
 // sep writes the comma that precedes array element i.
 func (w *jsonWriter) sep(i int) {
@@ -109,34 +95,42 @@ func (w *jsonWriter) sep(i int) {
 	}
 }
 
-func (w *jsonWriter) constraint(con geom.Constraint) {
-	w.sep(w.n)
-	w.n++
-	w.b = append(w.b, `{"normal":`...)
-	w.normal(con.H)
-	w.b = append(w.b, `,"sign":`...)
-	w.b = strconv.AppendInt(w.b, int64(con.Sign), 10)
-	w.b = append(w.b, '}')
+// cell writes packed cell i: its constraints in insertion order, then
+// its vertices.
+func (w *jsonWriter) cell(p *geom.Pack, i int) {
+	w.b = append(w.b, `{"constraints":[`...)
+	for k, ref := range p.Refs(i) {
+		w.sep(k)
+		w.b = append(w.b, `{"normal":`...)
+		w.normal(p, ref.Plane())
+		w.b = append(w.b, `,"sign":`...)
+		w.b = strconv.AppendInt(w.b, int64(ref.Sign()), 10)
+		w.b = append(w.b, '}')
+	}
+	w.b = append(w.b, `],"vertices":[`...)
+	d := p.Dim()
+	for k, v := 0, p.Vertices(i); len(v) > 0; k, v = k+1, v[d:] {
+		w.sep(k)
+		w.floats(v[:d])
+	}
+	w.b = append(w.b, "]}"...)
 }
 
-// normal writes h's normal, copying its earlier encoding when the slot
-// for h.ID still holds it. A copy repeats no error: the first encoding
-// already recorded any non-finite value.
-func (w *jsonWriter) normal(h geom.Hyperplane) {
-	slot, p := &w.normals[h.ID&(len(w.normals)-1)], &h.Normal[0]
-	if slot.p == p && slot.n == len(h.Normal) {
-		w.b = append(w.b, w.b[slot.start:slot.end]...)
+// normal writes plane j's normal, copying its earlier encoding when the
+// memo holds it. A copy repeats no error: the first encoding already
+// recorded any non-finite value.
+func (w *jsonWriter) normal(p *geom.Pack, j int) {
+	if j >= len(w.normals) {
+		w.floats(p.Normal(j))
+		return
+	}
+	if s := w.normals[j]; s.end != 0 {
+		w.b = append(w.b, w.b[s.start:s.end]...)
 		return
 	}
 	start := len(w.b)
-	w.floats(h.Normal)
-	*slot = normalSpan{p: p, n: len(h.Normal), start: start, end: len(w.b)}
-}
-
-func (w *jsonWriter) vertex(v vec.Vec) {
-	w.sep(w.n)
-	w.n++
-	w.floats(v)
+	w.floats(p.Normal(j))
+	w.normals[j] = span{start, len(w.b)}
 }
 
 // floats writes xs as a JSON array of numbers.
@@ -184,8 +178,8 @@ func (r *Region) UnmarshalJSON(data []byte) error {
 	}
 	r.dim = in.Dim
 	r.intervals = in.Intervals
-	r.cells = nil
 	r.disjoint = false
+	var cells []*geom.Cell
 	for _, cj := range in.Cells {
 		cell := geom.NewSimplex(in.Dim)
 		for i, con := range cj.Constraints {
@@ -197,8 +191,9 @@ func (r *Region) UnmarshalJSON(data []byte) error {
 			}
 		}
 		if cell != nil {
-			r.cells = append(r.cells, cell)
+			cells = append(cells, cell)
 		}
 	}
+	r.cells = geom.PackCells(in.Dim, nil, cells)
 	return nil
 }

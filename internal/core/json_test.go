@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rrq/internal/diffcheck/corpus"
@@ -19,21 +20,18 @@ import (
 // json.Marshal. AppendJSON must reproduce its bytes and its errors.
 func referenceJSON(r *Region) ([]byte, error) {
 	out := regionJSON{Dim: r.dim, Intervals: r.intervals}
-	if len(r.cells) > 0 {
-		out.Cells = make([]cellJSON, 0, len(r.cells))
-	}
-	for _, c := range r.cells {
-		cj := cellJSON{
-			Constraints: make([]constraintJSON, 0, c.NumConstraints()),
-			Vertices:    make([][]float64, 0, c.NumVertices()),
+	if p := r.Pack(); p != nil {
+		out.Cells = make([]cellJSON, 0, p.NumCells())
+		for i := 0; i < p.NumCells(); i++ {
+			cj := cellJSON{Constraints: []constraintJSON{}, Vertices: [][]float64{}}
+			p.VisitConstraints(i, func(con geom.Constraint) {
+				cj.Constraints = append(cj.Constraints, constraintJSON{Normal: con.H.Normal.Clone(), Sign: con.Sign})
+			})
+			for v := p.Vertices(i); len(v) > 0; v = v[p.Dim():] {
+				cj.Vertices = append(cj.Vertices, slices.Clone(v[:p.Dim()]))
+			}
+			out.Cells = append(out.Cells, cj)
 		}
-		for _, con := range c.Constraints() {
-			cj.Constraints = append(cj.Constraints, constraintJSON{Normal: con.H.Normal, Sign: con.Sign})
-		}
-		for _, v := range c.Vertices() {
-			cj.Vertices = append(cj.Vertices, v)
-		}
-		out.Cells = append(out.Cells, cj)
 	}
 	return json.Marshal(out)
 }
@@ -70,7 +68,8 @@ func checkJSONMatchesReference(t *testing.T, name string, r *Region) {
 	}
 }
 
-// solvedRegions answers one corpus instance with E-PT, A-PC and, in 2-d,
+// solvedRegions answers one corpus instance with E-PT, brute force, A-PC,
+// anytime A-PC warm-started from a stricter query's cut and, in 2-d,
 // Sweeping; solvers that reject the instance are skipped.
 func solvedRegions(ins corpus.Instance) map[string]*Region {
 	q := Query{Q: ins.Q, K: ins.K, Eps: ins.Eps}
@@ -78,8 +77,18 @@ func solvedRegions(ins corpus.Instance) map[string]*Region {
 	if r, err := EPT(ins.Pts, q); err == nil {
 		out["ept"] = r
 	}
+	if r, err := BruteForceND(ins.Pts, q, 64); err == nil {
+		out["brute"] = r
+	}
 	if r, err := APC(ins.Pts, q, APCOptions{Samples: 40, Seed: 3}); err == nil {
 		out["apc"] = r
+	}
+	strict := q
+	strict.Eps /= 2
+	if seed, _, err := APCAnytime(ins.Pts, strict, AnytimeOptions{Samples: 30, Seed: 4}); err == nil {
+		if r, _, err := APCAnytime(ins.Pts, q, AnytimeOptions{Samples: 30, Seed: 5, Warm: seed}); err == nil {
+			out["anytime-warm"] = r
+		}
 	}
 	if q.Q.Dim() == 2 {
 		if r, err := Sweeping(ins.Pts, q); err == nil {
@@ -98,7 +107,7 @@ func TestAppendJSONMatchesReferenceCorpus(t *testing.T) {
 				ins, _ := corpus.DecodeDim(data, d)
 				for solver, r := range solvedRegions(ins) {
 					checkJSONMatchesReference(t, corpus.FamilyName(fam)+"/"+solver, r)
-					if len(r.cells) > 0 {
+					if r.cells.NumCells() > 0 {
 						cellRegions++
 					}
 					if len(r.intervals) > 0 {
@@ -118,7 +127,7 @@ func TestAppendJSONMatchesReferenceCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkJSONMatchesReference(t, "random/ept", r)
-			if len(r.cells) > 0 {
+			if r.cells.NumCells() > 0 {
 				cellRegions++
 			}
 		}
@@ -269,11 +278,11 @@ func TestAppendJSONMemoKeys(t *testing.T) {
 		}
 		for name, reg := range cases {
 			deepest := 0
-			for _, c := range reg.Cells() {
-				deepest = max(deepest, c.NumConstraints())
+			for i := 0; i < reg.NumPieces(); i++ {
+				deepest = max(deepest, len(reg.cells.Refs(i)))
 			}
-			if len(reg.Cells()) < 5 || deepest < 3 {
-				t.Fatalf("%s: %d cells, at most %d constraints; test is vacuous", name, len(reg.Cells()), deepest)
+			if reg.NumPieces() < 5 || deepest < 3 {
+				t.Fatalf("%s: %d cells, at most %d constraints; test is vacuous", name, reg.NumPieces(), deepest)
 			}
 			checkJSONMatchesReference(t, name, reg)
 		}
@@ -302,7 +311,7 @@ func FuzzRegionJSONMatchesReference(f *testing.F) {
 		}
 		for solver, r := range solvedRegions(ins) {
 			checkJSONMatchesReference(t, ins.Family+"/"+solver, r)
-			if len(r.cells) > 0 {
+			if r.cells.NumCells() > 0 {
 				checkJSONMatchesReference(t, ins.Family+"/"+solver+"/decoded", decodedRegion(t, r))
 			}
 		}

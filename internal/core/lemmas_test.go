@@ -274,9 +274,10 @@ func TestLemma57APCPartitionQualifies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range reg.Cells() {
+		p := reg.Pack()
+		for c := 0; c < p.NumCells(); c++ {
 			for i := 0; i < 25; i++ {
-				u := c.SamplePoint(rng)
+				u := p.SamplePoint(c, rng)
 				count, margin := CountBetter(pts, q, u)
 				if margin < boundaryMargin {
 					continue
@@ -300,7 +301,7 @@ func TestLemma510SampleSizeFindsLargeRegions(t *testing.T) {
 	// Construct a region of volume ratio just above ρ: a half-space cut.
 	h := geom.NewHyperplane(vec.Of(1, -0.5, -0.2), 0)
 	target := geom.NewSimplex(d).Clip(h, +1)
-	ratio := geom.CellMeasure(target, rng, 20000)
+	ratio := NewCellRegion(d, []*geom.Cell{target}).Measure(rng, 20000)
 	if ratio <= rho {
 		t.Skipf("constructed region ratio %v ≤ ρ; adjust the plane", ratio)
 	}

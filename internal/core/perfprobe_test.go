@@ -22,10 +22,9 @@ func TestEPTPerfProbe(t *testing.T) {
 	}
 	t.Logf("stats: %+v, pieces=%d", st, reg.NumPieces())
 	maxV := 0
-	for _, c := range reg.Cells() {
-		if c.NumVertices() > maxV {
-			maxV = c.NumVertices()
-		}
+	p := reg.Pack()
+	for c := 0; c < p.NumCells(); c++ {
+		maxV = max(maxV, p.NumVertices(c))
 	}
 	t.Logf("max vertices per output cell: %d", maxV)
 }

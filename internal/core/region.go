@@ -12,26 +12,28 @@ import (
 // partitions of the utility simplex. Solvers produce either a list of
 // convex cells (general dimension) or a list of parameter intervals on the
 // utility segment (the d = 2 fast path used by Sweeping); both support
-// membership tests and measure.
+// membership tests and measure. Cells are frozen into a geom.Pack when the
+// region is built, so a region holds no pointer into the solver's
+// partition tree and is safe to share between goroutines.
 type Region struct {
 	dim       int
-	cells     []*geom.Cell
+	cells     geom.Pack
 	disjoint  bool         // cells are pairwise disjoint (exact solvers)
 	intervals [][2]float64 // 2-d representation: u = (t, 1−t), sorted, disjoint
 }
 
-// NewCellRegion wraps a list of qualified cells into a Region. It is used
+// NewCellRegion packs a list of qualified cells into a Region. It is used
 // by the solvers in this package and by the adapted baselines. The cells
 // may overlap (A-PC's merged partitions can); use NewDisjointCellRegion
 // when they are known to partition the answer.
 func NewCellRegion(d int, cells []*geom.Cell) *Region {
-	return &Region{dim: d, cells: cells}
+	return &Region{dim: d, cells: geom.PackCells(d, nil, cells)}
 }
 
-// NewDisjointCellRegion wraps pairwise-disjoint qualified cells, enabling
+// NewDisjointCellRegion packs pairwise-disjoint qualified cells, enabling
 // exact measure in three dimensions.
 func NewDisjointCellRegion(d int, cells []*geom.Cell) *Region {
-	return &Region{dim: d, cells: cells, disjoint: true}
+	return &Region{dim: d, cells: geom.PackCells(d, nil, cells), disjoint: true}
 }
 
 // NewIntervalRegion wraps sorted disjoint parameter intervals on the 2-d
@@ -53,19 +55,24 @@ func emptyRegion(d int) *Region { return EmptyRegion(d) }
 func (r *Region) Dim() int { return r.dim }
 
 // Empty reports whether no utility vector qualifies.
-func (r *Region) Empty() bool { return len(r.cells) == 0 && len(r.intervals) == 0 }
+func (r *Region) Empty() bool { return r.cells.NumCells() == 0 && len(r.intervals) == 0 }
 
 // NumPieces returns the number of stored partitions (cells or intervals).
 func (r *Region) NumPieces() int {
 	if r.intervals != nil {
 		return len(r.intervals)
 	}
-	return len(r.cells)
+	return r.cells.NumCells()
 }
 
-// Cells returns the qualified cells for cell-backed regions and nil for
-// interval-backed ones.
-func (r *Region) Cells() []*geom.Cell { return r.cells }
+// Pack returns the packed cells of a cell-backed region, or nil when the
+// region holds no cells (interval-backed or empty). The pack is read-only.
+func (r *Region) Pack() *geom.Pack {
+	if r.cells.NumCells() == 0 {
+		return nil
+	}
+	return &r.cells
+}
 
 // Contains reports whether the utility vector u (assumed on the simplex)
 // qualifies: q is a (k,ε)-regret point w.r.t. u. Boundaries are inclusive.
@@ -75,12 +82,7 @@ func (r *Region) Contains(u vec.Vec) bool {
 		i := sort.Search(len(r.intervals), func(i int) bool { return r.intervals[i][1] >= t-geom.Tol })
 		return i < len(r.intervals) && r.intervals[i][0] <= t+geom.Tol
 	}
-	for _, c := range r.cells {
-		if c.Contains(u) {
-			return true
-		}
-	}
-	return false
+	return r.cells.Contains(u)
 }
 
 // Intervals returns the region as parameter intervals on the utility
@@ -93,9 +95,10 @@ func (r *Region) Intervals() [][2]float64 {
 	if r.intervals != nil {
 		return r.intervals
 	}
-	ivs := make([][2]float64, 0, len(r.cells))
-	for _, c := range r.cells {
-		lo, hi := geom.Interval1D(c)
+	n := r.cells.NumCells()
+	ivs := make([][2]float64, 0, n)
+	for i := 0; i < n; i++ {
+		lo, hi := r.cells.Interval1D(i)
 		ivs = append(ivs, [2]float64{lo, hi})
 	}
 	return MergeIntervals(ivs)
@@ -123,9 +126,9 @@ func (r *Region) Measure(rng *rand.Rand, n int) float64 {
 		return s
 	}
 	if r.disjoint && r.dim == 3 {
-		return geom.MeasureCellsExact3D(r.cells)
+		return r.cells.MeasureExact3D()
 	}
-	return geom.MeasureCells(r.cells, r.dim, rng, n)
+	return r.cells.Measure(rng, n)
 }
 
 // MeasureWithSeed is Measure with a private generator derived from seed:
@@ -149,10 +152,11 @@ func (r *Region) SamplePoint(rng *rand.Rand) vec.Vec {
 		t := iv[0] + rng.Float64()*(iv[1]-iv[0])
 		return vec.Of(t, 1-t)
 	}
-	if len(r.cells) == 0 {
+	n := r.cells.NumCells()
+	if n == 0 {
 		return nil
 	}
-	return r.cells[rng.Intn(len(r.cells))].SamplePoint(rng)
+	return r.cells.SamplePoint(rng.Intn(n), rng)
 }
 
 // SampleUniform returns a qualified utility vector drawn uniformly over

@@ -273,11 +273,11 @@ func solveMembership(cfg Config, ins corpus.Instance, q core.Query, oracle *plan
 // and the interval audit (piece midpoints qualified, gap midpoints not) to
 // 2-d interval regions.
 func auditRegion(cfg Config, oracle *planeOracle, r solverRun, prob Problem, rep *Report) {
-	if cells := r.region.Cells(); cells != nil {
-		for _, c := range cells {
+	if p := r.region.Pack(); p != nil {
+		for i := 0; i < p.NumCells(); i++ {
 			rep.Checks++
-			if msg := lpAuditCell(oracle, c, cfg.Margin); msg != "" {
-				rep.fail(Mismatch{Kind: "lp-audit", Solver: r.name, Problem: prob, U: c.Center(), Detail: msg})
+			if msg := lpAuditCell(oracle, p, i, cfg.Margin); msg != "" {
+				rep.fail(Mismatch{Kind: "lp-audit", Solver: r.name, Problem: prob, U: p.Center(i), Detail: msg})
 			}
 		}
 		return
@@ -323,9 +323,9 @@ func completenessCheck(cfg Config, oracle *planeOracle, runs []solverRun, prob P
 		return
 	}
 	var reps []vec.Vec
-	if cells := truth.region.Cells(); cells != nil {
-		for _, c := range cells {
-			reps = append(reps, c.Center())
+	if p := truth.region.Pack(); p != nil {
+		for i := 0; i < p.NumCells(); i++ {
+			reps = append(reps, p.Center(i))
 		}
 	} else if truth.region.Dim() == 2 {
 		for _, iv := range truth.region.Intervals() {

@@ -83,24 +83,23 @@ func (o *planeOracle) qualified(u vec.Vec) (ok bool, margin float64) {
 	return c < o.k, m
 }
 
-// lpAuditCell checks one returned region cell against the LP substrate:
-// the cell's constraint system must be feasible over the simplex, and the
-// LP witness plus the cell's own center must be qualified according to the
-// counting oracle (boundary-marginal witnesses are skipped). A failure
-// message is returned, or "" when the cell passes.
-func lpAuditCell(o *planeOracle, c *geom.Cell, margin float64) string {
-	cons := c.Constraints()
-	normals := make([]vec.Vec, len(cons))
-	signs := make([]int, len(cons))
-	for i, con := range cons {
-		normals[i] = con.H.Normal
-		signs[i] = con.Sign
-	}
-	w, feasible := lp.SimplexFeasible(c.Dim(), normals, signs)
+// lpAuditCell checks packed cell i of a returned region against the LP
+// substrate: the cell's constraint system must be feasible over the
+// simplex, and the LP witness plus the cell's own center must be qualified
+// according to the counting oracle (boundary-marginal witnesses are
+// skipped). A failure message is returned, or "" when the cell passes.
+func lpAuditCell(o *planeOracle, p *geom.Pack, i int, margin float64) string {
+	var normals []vec.Vec
+	var signs []int
+	p.VisitConstraints(i, func(con geom.Constraint) {
+		normals = append(normals, con.H.Normal)
+		signs = append(signs, con.Sign)
+	})
+	w, feasible := lp.SimplexFeasible(p.Dim(), normals, signs)
 	if !feasible {
 		return "cell constraint system is LP-infeasible"
 	}
-	for _, u := range []vec.Vec{w, c.Center()} {
+	for _, u := range []vec.Vec{w, p.Center(i)} {
 		if ok, m := o.qualified(u); m >= margin && !ok {
 			return "cell contains unqualified point " + u.String()
 		}

@@ -76,10 +76,10 @@ func BenchmarkContains(b *testing.B) {
 }
 
 func BenchmarkMeasureCells(b *testing.B) {
-	cell := benchCell(4, 6)
+	p := packOf(benchCell(4, 6))
 	rng := rand.New(rand.NewSource(17))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CellMeasure(cell, rng, 1000)
+		p.Measure(rng, 1000)
 	}
 }

@@ -121,22 +121,6 @@ func (c *Cell) Constraints() []Constraint {
 	return out
 }
 
-// VisitConstraints calls fn on each cut constraint in insertion order —
-// the order Constraints returns — without allocating. The constraint's
-// normal aliases the cell's storage and must not be modified.
-func (c *Cell) VisitConstraints(fn func(Constraint)) { visitConsList(c.cons, fn) }
-
-// visitConsList walks the chain oldest-first. The list links newest to
-// oldest and is shared with other cells, so it is reversed on the call
-// stack rather than in place; the depth is the cell's constraint count.
-func visitConsList(n *consList, fn func(Constraint)) {
-	if n == nil {
-		return
-	}
-	visitConsList(n.prev, fn)
-	fn(n.con)
-}
-
 // NumConstraints returns the number of cut constraints.
 func (c *Cell) NumConstraints() int { return c.nCons }
 
@@ -151,15 +135,6 @@ func (c *Cell) Vertices() []vec.Vec {
 		out[i] = v.pt.Clone()
 	}
 	return out
-}
-
-// VisitVertices calls fn on each maintained extreme point, in the order
-// Vertices returns them, without copying. The point aliases the cell's
-// storage and must not be modified.
-func (c *Cell) VisitVertices(fn func(vec.Vec)) {
-	for _, v := range c.verts {
-		fn(v.pt)
-	}
 }
 
 // Contains reports whether u (assumed on the simplex) satisfies every cut

@@ -147,11 +147,11 @@ func TestSplit2D(t *testing.T) {
 	if neg == nil || pos == nil {
 		t.Fatal("both sides should be non-empty")
 	}
-	lo, hi := Interval1D(neg)
+	lo, hi := packOf(neg).Interval1D(0)
 	if math.Abs(lo-0) > 1e-9 || math.Abs(hi-0.5) > 1e-9 {
 		t.Errorf("neg interval [%v,%v], want [0,0.5]", lo, hi)
 	}
-	lo, hi = Interval1D(pos)
+	lo, hi = packOf(pos).Interval1D(0)
 	if math.Abs(lo-0.5) > 1e-9 || math.Abs(hi-1) > 1e-9 {
 		t.Errorf("pos interval [%v,%v], want [0.5,1]", lo, hi)
 	}
@@ -328,21 +328,32 @@ func TestRelationAgreesWithSampling(t *testing.T) {
 	}
 }
 
+// packOf packs cells, all of one dimension; with none it returns an
+// empty 2-d pack.
+func packOf(cells ...*Cell) *Pack {
+	d := 2
+	if len(cells) > 0 {
+		d = cells[0].Dim()
+	}
+	p := PackCells(d, nil, cells)
+	return &p
+}
+
 func TestMeasureCells(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := NewSimplex(2)
 	h := NewHyperplane(vec.Of(1, -1), 0) // t*=0.5
 	neg, pos := s.Split(h)
-	m := MeasureCells([]*Cell{neg}, 2, rng, 20000)
+	m := packOf(neg).Measure(rng, 20000)
 	if math.Abs(m-0.5) > 0.02 {
 		t.Fatalf("neg measure = %v, want ~0.5", m)
 	}
 	// Union of both halves covers everything.
-	m = MeasureCells([]*Cell{neg, pos}, 2, rng, 5000)
+	m = packOf(neg, pos).Measure(rng, 5000)
 	if m != 1 {
 		t.Fatalf("full union measure = %v, want 1", m)
 	}
-	if MeasureCells(nil, 2, rng, 100) != 0 {
+	if packOf().Measure(rng, 100) != 0 {
 		t.Fatal("empty region should measure 0")
 	}
 }
@@ -353,7 +364,7 @@ func TestInterval1DPanicsOnHighDim(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Interval1D(NewSimplex(3))
+	packOf(NewSimplex(3)).Interval1D(0)
 }
 
 func TestTightSetOps(t *testing.T) {
@@ -384,7 +395,7 @@ func TestTightSetOps(t *testing.T) {
 
 func TestArea3DWholeSimplex(t *testing.T) {
 	s := NewSimplex(3)
-	if got := Area3D(s); math.Abs(got-1) > 1e-12 {
+	if got := packOf(s).Area3D(0); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("whole simplex area = %v, want 1", got)
 	}
 }
@@ -393,11 +404,12 @@ func TestArea3DHalf(t *testing.T) {
 	s := NewSimplex(3)
 	h := NewHyperplane(vec.Of(1, -1, 0), 0) // symmetric cut through e3
 	neg, pos := s.Split(h)
-	a1, a2 := Area3D(neg), Area3D(pos)
+	halves := packOf(neg, pos)
+	a1, a2 := halves.Area3D(0), halves.Area3D(1)
 	if math.Abs(a1-0.5) > 1e-9 || math.Abs(a2-0.5) > 1e-9 {
 		t.Fatalf("half areas = %v, %v, want 0.5 each", a1, a2)
 	}
-	if math.Abs(MeasureCellsExact3D([]*Cell{neg, pos})-1) > 1e-9 {
+	if math.Abs(halves.MeasureExact3D()-1) > 1e-9 {
 		t.Fatal("halves should sum to the whole")
 	}
 }
@@ -426,8 +438,8 @@ func TestArea3DMatchesMonteCarlo(t *testing.T) {
 				cell = pos
 			}
 		}
-		exact := Area3D(cell)
-		mc := CellMeasure(cell, rng, 30000)
+		exact := packOf(cell).Area3D(0)
+		mc := packOf(cell).Measure(rng, 30000)
 		if math.Abs(exact-mc) > 0.02 {
 			t.Fatalf("trial %d: exact %v vs MC %v", trial, exact, mc)
 		}
@@ -440,7 +452,7 @@ func TestArea3DPanicsOnWrongDim(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Area3D(NewSimplex(4))
+	packOf(NewSimplex(4)).Area3D(0)
 }
 
 func TestArea3DDegenerate(t *testing.T) {
@@ -453,7 +465,7 @@ func TestArea3DDegenerate(t *testing.T) {
 	if neg == nil {
 		t.Skip("no negative side")
 	}
-	if Area3D(neg) <= 0 {
+	if packOf(neg).Area3D(0) <= 0 {
 		t.Fatal("non-degenerate half should have positive area")
 	}
 }

@@ -9,8 +9,7 @@ import (
 )
 
 // TestMeasureCellsSeededReproducible: equal seeds must give bit-identical
-// estimates, different seeds should (and here do) give different noise, and
-// the estimate must agree with the rng-threading API given the same source.
+// estimates, and different seeds should (and here do) give different noise.
 func TestMeasureCellsSeededReproducible(t *testing.T) {
 	for d := 2; d <= 5; d++ {
 		n := vec.New(d)
@@ -21,24 +20,16 @@ func TestMeasureCellsSeededReproducible(t *testing.T) {
 		if cell == nil {
 			cell = NewSimplex(d)
 		}
-		cells := []*Cell{cell}
+		p := packOf(cell)
+		seeded := func(seed int64) float64 { return p.Measure(rand.New(rand.NewSource(seed)), 4000) }
 
-		a := MeasureCellsSeeded(cells, d, 42, 4000)
-		b := MeasureCellsSeeded(cells, d, 42, 4000)
+		a, b := seeded(42), seeded(42)
 		if a != b {
 			t.Fatalf("d=%d: same seed gave %v and %v", d, a, b)
 		}
-		viaRng := MeasureCells(cells, d, rand.New(rand.NewSource(42)), 4000)
-		if a != viaRng {
-			t.Fatalf("d=%d: seeded %v disagrees with explicit rng %v", d, a, viaRng)
-		}
-		c := MeasureCellsSeeded(cells, d, 43, 4000)
+		c := seeded(43)
 		if a == c && a != 0 && a != 1 {
 			t.Errorf("d=%d: different seeds gave identical nontrivial estimates %v", d, a)
-		}
-		one := CellMeasureSeeded(cell, 42, 4000)
-		if one != a {
-			t.Fatalf("d=%d: CellMeasureSeeded %v disagrees with MeasureCellsSeeded %v", d, one, a)
 		}
 	}
 }

@@ -595,3 +595,49 @@ func TestIndexSaveLoadRoundtrip(t *testing.T) {
 		t.Fatal("garbage accepted by Load")
 	}
 }
+
+// A snapshot's rank tree is shared by every query on the snapshot, so
+// answering must only read its nodes' cells: concurrent queries must not
+// race (run under -race) and must agree with a lone query.
+func TestRankTreeConcurrentQueries(t *testing.T) {
+	rng := rand.New(rand.NewSource(5556))
+	pts, _ := randomInstance(rng, 40, 3)
+	tree, err := BuildRankTree(context.Background(), pts, 4, 0, "index.ranktree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := make([]core.Query, 40)
+	want := make([][]byte, len(queries))
+	for i := range queries {
+		_, queries[i] = randomInstance(rng, 1, 3)
+		// Deepest rank, small ε: searches reach the leaves, whose cells
+		// no build step has classified a plane against.
+		queries[i].K, queries[i].Eps = 4, 0.05
+	}
+	var wg sync.WaitGroup
+	got := make([][]byte, len(queries))
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(queries); i += 2 {
+				r, err := tree.QueryContext(context.Background(), queries[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i], _ = r.MarshalJSON()
+			}
+		}()
+	}
+	wg.Wait()
+	for i, q := range queries {
+		r, err := tree.QueryContext(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], _ = r.MarshalJSON(); !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("query %d: concurrent answer differs from a lone one", i)
+		}
+	}
+}

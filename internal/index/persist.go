@@ -216,10 +216,12 @@ func load(r io.Reader, compat bool) (*Index, error) {
 		return nil, &PersistError{Reason: PersistDecode,
 			Detail: fmt.Sprintf("implausible payload length %d", plen)}
 	}
-	payload := make([]byte, plen)
-	if n, err := io.ReadFull(br, payload); err != nil {
+	// Read what the stream holds rather than allocating the declared
+	// length up front: a corrupt header must not cost gigabytes.
+	payload, err := io.ReadAll(io.LimitReader(br, int64(plen)))
+	if err != nil || uint64(len(payload)) < plen {
 		return nil, &PersistError{Reason: PersistTruncated,
-			Detail: fmt.Sprintf("payload ends at %d of %d bytes", n, plen)}
+			Detail: fmt.Sprintf("payload ends at %d of %d bytes", len(payload), plen)}
 	}
 	if got := crc32.Checksum(payload, persistCRC); got != wantCRC {
 		return nil, &PersistError{Reason: PersistChecksum,

@@ -163,6 +163,9 @@ func (t *RankTree) build(n *rtNode, remaining []int, maxNodes int) error {
 		if dead {
 			continue
 		}
+		// Queries read the node's cell from many goroutines; fill its
+		// lazily computed spheres now, while the tree is still private.
+		cell.Center()
 		child := &rtNode{cell: cell, point: p, depth: n.depth + 1}
 		t.check.Emit(obs.EvNodeSplit, 1)
 		t.Nodes++

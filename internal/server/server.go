@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -528,7 +529,35 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if reg := s.cfg.Metrics; reg != nil {
+		readRuntimeGauges(reg)
 		_ = reg.WriteText(w)
+	}
+}
+
+// runtimeGauges maps the Go runtime readings /metrics publishes onto their
+// gauge names: the collector's cumulative CPU time and the heap it found
+// live at the end of the last cycle — the price of what the process keeps,
+// the result cache above all.
+var runtimeGauges = [...][2]string{
+	{"/cpu/classes/gc/total:cpu-seconds", "runtime.gc_cpu_seconds"},
+	{"/gc/heap/live:bytes", "runtime.heap_live_bytes"},
+}
+
+// readRuntimeGauges refreshes the runtime gauges in reg. It runs when
+// /metrics is scraped, never on the request path.
+func readRuntimeGauges(reg *rrq.Registry) {
+	var samples [len(runtimeGauges)]metrics.Sample
+	for i, g := range runtimeGauges {
+		samples[i].Name = g[0]
+	}
+	metrics.Read(samples[:])
+	for i, g := range runtimeGauges {
+		switch v := samples[i].Value; v.Kind() {
+		case metrics.KindFloat64:
+			reg.Gauge(g[1]).Set(v.Float64())
+		case metrics.KindUint64:
+			reg.Gauge(g[1]).Set(float64(v.Uint64()))
+		}
 	}
 }
 

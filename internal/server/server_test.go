@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -159,7 +161,9 @@ func TestSolveInsertSolveCacheFlow(t *testing.T) {
 		t.Fatalf("stats cache = %+v, want ≥ 1 hit", st.Index.Cache)
 	}
 
-	// The metrics page carries the library counters.
+	// The metrics page carries the library counters. One finished GC
+	// cycle gives the live-heap reading a value.
+	runtime.GC()
 	r3, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -167,10 +171,17 @@ func TestSolveInsertSolveCacheFlow(t *testing.T) {
 	defer r3.Body.Close()
 	var buf bytes.Buffer
 	buf.ReadFrom(r3.Body)
-	for _, want := range []string{"cache.hit", "server.requests", "rrq.solves", "cache.body_served: 1\n", "cache.body_bytes: 0\n"} {
+	for _, want := range []string{"cache.hit", "server.requests", "rrq.solves", "cache.body_served: 1\n", "cache.body_bytes: 0\n",
+		"runtime.gc_cpu_seconds: ", "runtime.heap_live_bytes: "} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, buf.String())
 		}
+	}
+	// The runtime gauges are read at scrape time.
+	_, live, _ := strings.Cut(buf.String(), "runtime.heap_live_bytes: ")
+	live, _, _ = strings.Cut(live, "\n")
+	if x, err := strconv.ParseFloat(live, 64); err != nil || x <= 0 {
+		t.Fatalf("runtime.heap_live_bytes = %q, want a positive number", live)
 	}
 }
 

@@ -86,24 +86,13 @@ type Scratch struct {
 // processing order of equal-sum points may differ, but a dominator always
 // has a strictly larger attribute sum than the point it dominates (it must
 // exceed it in some coordinate and match or exceed in the rest), so
-// equal-sum ties never affect dominator counts or band membership.
+// equal-sum ties never affect dominator counts or band membership. The
+// processing order stays readable through s.SumOrder until the next call.
 func KSkybandScratch(pts []vec.Vec, k int, s *Scratch) []int {
 	if k < 1 {
 		return nil
 	}
-	n := len(pts)
-	if cap(s.order) < n {
-		s.order = make([]int, n)
-		s.sums = make([]float64, n)
-	}
-	order := s.order[:n]
-	sums := s.sums[:n]
-	for i, p := range pts {
-		order[i] = i
-		sums[i] = p.Sum()
-	}
-	sortIdxBySumDesc(order, sums)
-
+	order, _ := SortBySum(pts, s)
 	band := s.band[:0]
 	for _, idx := range order {
 		p := pts[idx]
@@ -124,6 +113,33 @@ func KSkybandScratch(pts []vec.Vec, k int, s *Scratch) []int {
 	sort.Ints(band) // slices.Sort underneath: no allocation
 	return band
 }
+
+// SortBySum orders every index of pts by non-increasing attribute sum
+// (Vec.Sum), without allocating once s has grown. It returns the order and
+// the sums indexed by point; both alias s and stay valid until the next
+// call with the same scratch. Because floating-point addition rounds
+// monotonically, a point that dominates another never has a smaller
+// computed sum, so every point pts[i] dominates sits at or after the first
+// position whose sum equals sums[i].
+func SortBySum(pts []vec.Vec, s *Scratch) (order []int, sums []float64) {
+	n := len(pts)
+	if cap(s.order) < n {
+		s.order = make([]int, n)
+		s.sums = make([]float64, n)
+	}
+	order, sums = s.order[:n], s.sums[:n]
+	for i, p := range pts {
+		order[i] = i
+		sums[i] = p.Sum()
+	}
+	sortIdxBySumDesc(order, sums)
+	s.order, s.sums = order, sums
+	return order, sums
+}
+
+// SumOrder returns the order and sums of the last SortBySum or
+// KSkybandScratch call on s.
+func (s *Scratch) SumOrder() (order []int, sums []float64) { return s.order, s.sums }
 
 // sortIdxBySumDesc sorts idx so that sums[idx[i]] is non-increasing, with a
 // hand-rolled quicksort (median-of-three, insertion sort on small spans):
